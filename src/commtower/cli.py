@@ -387,8 +387,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rendered = _render_text(report)
     sys.stdout.write(rendered)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.get("ok") else 1
 
 

@@ -8,9 +8,10 @@ the group G studied here.
 Equality in G is decided through the kernel K of the projection
 ``G -> F1 (+) F2``:
 
-* a syllable word with trivial projection is collected into a product of
-  honest commutators ``[v1, v2]`` (the free basis of the kernel before the
-  relator is imposed);
+* a syllable word with trivial projection is collected, in one
+  left-to-right pass over its syllables, into a product of honest
+  commutators ``[v1, v2]`` (the free basis of the kernel before the relator
+  is imposed);
 * each such commutator is rewritten into the surviving free basis of K via
   ``[w1, w2] = [w1, s2][s2, s1][s1, w2]`` where ``s_i`` is the canonical
   representative of the coset ``<u_i> w_i``;
@@ -21,7 +22,9 @@ Soundness of the decision needs nothing beyond the rewriting identities,
 which hold in G outright; completeness rests on K being free on the stated
 symbols.  A seeded homomorphism onto a symmetric group is kept alongside as
 an independent refutation oracle, and :func:`commutation_scan` uses the
-whole apparatus to hunt for pairs that commute with their commutator.
+whole apparatus to hunt for pairs that commute with their commutator.  Its
+words are those of :mod:`.words` over the letters of both factors, split
+into syllables.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .words import (
     coset_rep,
     is_cyclically_reduced,
     primitive_root,
+    random_reduced_word,
+    reduced_words,
     support,
     word_str,
 )
@@ -146,14 +151,6 @@ def sp_conjugate(w: SyllableWord, g: SyllableWord) -> SyllableWord:
     return sp_multiply(sp_invert(g), w, g)
 
 
-def sp_pow(w: SyllableWord, k: int) -> SyllableWord:
-    base = w if k >= 0 else sp_invert(w)
-    out = sp_empty(w.rank1, w.rank2)
-    for _ in range(abs(k)):
-        out = sp_multiply(out, base)
-    return out
-
-
 def h_map(w: SyllableWord) -> tuple[Word, Word]:
     """Project onto F1 (+) F2: multiply out each factor's syllables in order."""
     p1 = Word(w.rank1)
@@ -232,28 +229,36 @@ def cartesian_basis_express(
         w: SyllableWord) -> tuple[tuple[tuple[Word, Word], int], ...]:
     """Express a kernel element as a product of commutators [v1, v2].
 
-    Collection from the right: if the word ends ``... a c`` (a in F1, c in F2)
-    it equals ``(... c a) [a, c]``; if it ends ``... c a`` it equals
-    ``(... a c) [a, c]^-1``.  Swapping the tail merges it into the preceding
-    syllable, so the syllable count strictly drops and the loop terminates.
-    The returned factors multiply out to ``w`` exactly (in F1 * F2).
-    """
-    p1, p2 = h_map(w)
-    if not (p1.is_identity and p2.is_identity):
-        raise ValueError("word is not in the kernel of the direct-sum projection")
+    One left-to-right pass keeps the invariant ``prefix = c · P · Q``: c in K
+    is the product of the factors emitted so far, and P in F1, Q in F2 are the
+    projections of the prefix read.  A factor-two syllable only extends Q.  A
+    factor-one syllable s moves left past a nontrivial Q by
 
-    syl = list(w.syllables)
+        P Q s = [P^-1, Q^-1] [(Ps)^-1, Q^-1]^-1 · Ps Q,
+
+    emitting each of the two factors whose F1 component is nontrivial, and
+    then P becomes Ps.  At the end P and Q are the projections of ``w``, which
+    are trivial exactly when ``w`` is in the kernel, and then the returned
+    factors multiply out to ``w`` exactly (in F1 * F2).
+    """
+    p = Word(w.rank1)
+    q = Word(w.rank2)
     emitted: list[tuple[tuple[Word, Word], int]] = []
-    while syl:
-        assert len(syl) >= 4, "kernel elements have at least four syllables"
-        (f_pen, pen), (f_last, last) = syl[-2], syl[-1]
-        if f_pen == 1 and f_last == 2:
-            emitted.append(((pen, last), 1))
-        else:
-            emitted.append(((last, pen), -1))
-        swapped = syl[:-2] + [syl[-1], syl[-2]]
-        syl = list(sp_reduce(w.rank1, w.rank2, swapped).syllables)
-    return tuple(reversed(emitted))
+    for factor, s in w.syllables:
+        if factor == 2:
+            q = q * s
+            continue
+        ps = p * s
+        if not q.is_identity:
+            q_inv = q.inverse()
+            if not p.is_identity:
+                emitted.append(((p.inverse(), q_inv), 1))
+            if not ps.is_identity:
+                emitted.append(((ps.inverse(), q_inv), -1))
+        p = ps
+    if not (p.is_identity and q.is_identity):
+        raise ValueError("word is not in the kernel of the direct-sum projection")
+    return tuple(emitted)
 
 
 def expand_basis_product(
@@ -573,70 +578,42 @@ class FiniteQuotientOracle:
 # enumeration, sampling, and the commutation scan
 
 
-def _tagged_alphabet(rank1: int, rank2: int) -> list[tuple[int, int]]:
-    # (factor, letter), ordered factor-1 first, then index, positive first
-    out = []
-    for factor, rank in ((1, rank1), (2, rank2)):
-        for i in range(1, rank + 1):
-            out.append((factor, i))
-            out.append((factor, -i))
-    return out
-
-
-def _tags_to_syllables(rank1: int, rank2: int,
-                       tags: Sequence[tuple[int, int]]) -> SyllableWord:
-    parts = [(factor, Word(rank1 if factor == 1 else rank2, (let,)))
-             for factor, let in tags]
-    return sp_reduce(rank1, rank2, parts)
+def _split_factors(rank1: int, rank2: int, w: Word) -> SyllableWord:
+    # a letter of w above rank1 is the factor-two generator of index minus rank1
+    syllables = []
+    runs = itertools.groupby(w.letters, key=lambda let: abs(let) > rank1)
+    for two, run in runs:
+        if two:
+            syllables.append((2, Word(rank2, tuple(
+                let - rank1 if let > 0 else let + rank1 for let in run))))
+        else:
+            syllables.append((1, Word(rank1, tuple(run))))
+    return SyllableWord(rank1, rank2, tuple(syllables))
 
 
 def enumerate_syllable_words(rank1: int, rank2: int,
                              max_len: int) -> Iterator[SyllableWord]:
-    """All syllable words of total letter length <= max_len, graded, in a
-    fixed lexicographic order on tagged letters."""
-    alphabet = _tagged_alphabet(rank1, rank2)
-
-    def exact(prefix: list[tuple[int, int]], remaining: int):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for tag in alphabet:
-            if prefix:
-                pf, pl = prefix[-1]
-                if pf == tag[0] and pl == -tag[1]:
-                    continue
-            prefix.append(tag)
-            yield from exact(prefix, remaining - 1)
-            prefix.pop()
-
-    for length in range(max_len + 1):
-        for tags in exact([], length):
-            yield _tags_to_syllables(rank1, rank2, tags)
+    """All syllable words of total letter length <= max_len, graded by length
+    (:func:`commutation_scan` relies on that), each grade in the order of
+    :func:`reduced_words` on the letters of factor one followed by those of
+    factor two."""
+    for w in reduced_words(rank1 + rank2, max_len):
+        yield _split_factors(rank1, rank2, w)
 
 
 def random_syllable_word(rng: random.Random, rank1: int, rank2: int,
                          max_len: int) -> SyllableWord:
-    """Uniform length in [0, max_len], then a uniform admissible tagged letter
-    at every position."""
+    """Uniform length in [0, max_len], then :func:`random_reduced_word` over the
+    letters of both factors."""
     length = rng.randint(0, max_len)
-    alphabet = _tagged_alphabet(rank1, rank2)
-    tags: list[tuple[int, int]] = []
-    for _ in range(length):
-        if tags:
-            pf, pl = tags[-1]
-            choices = [t for t in alphabet if not (t[0] == pf and t[1] == -pl)]
-        else:
-            choices = alphabet
-        tags.append(rng.choice(choices))
-    return _tags_to_syllables(rank1, rank2, tags)
+    return _split_factors(
+        rank1, rank2, random_reduced_word(rng, rank1 + rank2, length))
 
 
 def random_kernel_word(rng: random.Random, rank1: int, rank2: int,
                        max_len: int) -> SyllableWord:
     """A random product of conjugated commutators: trivial projection by
     construction, total length capped by regeneration."""
-    from .words import random_reduced_word
-
     while True:
         w = sp_empty(rank1, rank2)
         for _ in range(rng.randint(1, 3)):
@@ -684,9 +661,11 @@ def commutation_scan(ctx: GContext, max_len: int, budget: int,
     """Hunt for pairs x, y that commute with [x, y] but have [x, y] != 1.
 
     Exhausts all pairs with |x| + |y| <= max_len, then draws ``budget``
-    seeded random pairs of length <= 2 * max_len each.  Any pair where both
-    x and y commute with c = [x, y] must satisfy c = 1 in G; violations are
-    collected as counterexamples (none are expected).
+    seeded random pairs of length <= 2 * max_len each.  The exhaustive phase
+    relies on :func:`enumerate_syllable_words` being graded by length: once
+    |x| + |y| exceeds max_len, no later y fits with this x.  Any pair where
+    both x and y commute with c = [x, y] must satisfy c = 1 in G; violations
+    are collected as counterexamples (none are expected).
     """
     pairs_tested = 0
     commuting = 0
@@ -711,8 +690,9 @@ def commutation_scan(ctx: GContext, max_len: int, budget: int,
     words = list(enumerate_syllable_words(ctx.rank1, ctx.rank2, max_len))
     for x in words:
         for y in words:
-            if len(x) + len(y) <= max_len:
-                consider(x, y)
+            if len(x) + len(y) > max_len:
+                break
+            consider(x, y)
 
     rng = random.Random(seed)
     for _ in range(budget):

@@ -70,20 +70,13 @@ class Word:
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        out = Word(self.rank)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return Word(self.rank, _reduce_letters(base.letters * abs(k)))
 
     def __str__(self) -> str:
         return word_str(self)
 
     def __repr__(self) -> str:
         return f"Word({self.rank}, {word_str(self)!r})"
-
-
-def empty_word(rank: int) -> Word:
-    return Word(rank)
 
 
 def generator(rank: int, index: int) -> Word:

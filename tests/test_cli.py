@@ -129,6 +129,14 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code = main(["lp", "demo", "--out", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_reports_are_deterministic(capsys):
     commands = [
         ["verify", "tower", "--max-level", "1", "--format", "json"],

@@ -133,6 +133,31 @@ def test_express_round_trip_seeded():
         assert expand_basis_product(2, 2, expr) == w
 
 
+def _bubble_express(w):
+    # the literal collection from the right: swap the last two syllables,
+    # emitting the commutator that the swap costs, until nothing is left
+    syl = list(w.syllables)
+    emitted = []
+    while syl:
+        assert len(syl) >= 4
+        (f_pen, pen), (f_last, last) = syl[-2], syl[-1]
+        if f_pen == 1 and f_last == 2:
+            emitted.append(((pen, last), 1))
+        else:
+            emitted.append(((last, pen), -1))
+        swapped = syl[:-2] + [syl[-1], syl[-2]]
+        syl = list(sp_reduce(w.rank1, w.rank2, swapped).syllables)
+    return tuple(reversed(emitted))
+
+
+def test_express_matches_bubble_collection():
+    for rank1, rank2, seed in ((2, 2, 5), (1, 1, 6), (2, 3, 7)):
+        rng = random.Random(seed)
+        for _ in range(200):
+            w = random_kernel_word(rng, rank1, rank2, 40)
+            assert cartesian_basis_express(w) == _bubble_express(w)
+
+
 def test_expand_basis_product_signs():
     factors = (((fw("x1"), fw("x2")), -1),)
     assert expand_basis_product(2, 2, factors) == sp_invert(
@@ -414,6 +439,28 @@ def test_scan_deterministic():
     a = commutation_scan(ctx_double(), max_len=2, budget=100, seed=41)
     b = commutation_scan(ctx_double(), max_len=2, budget=100, seed=41)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_scan_counts_pinned():
+    report = commutation_scan(ctx_double(), max_len=2, budget=100, seed=41)
+    assert report.pairs_tested == 293
+    assert report.commuting_pairs_found == 180
+
+
+def test_enumeration_is_graded():
+    lengths = [len(w) for w in enumerate_syllable_words(2, 2, 3)]
+    assert lengths == sorted(lengths)
+    assert lengths[-1] == 3
+
+
+def test_random_syllable_word_stream_pinned():
+    rng = random.Random(7)
+    assert [syllable_str(random_syllable_word(rng, 2, 2, 8))
+            for _ in range(3)] == [
+        "a2 | b1 b2 | a1 a1",
+        "A1 A2 | B1 | a1 | B1 | A1 A1 A1",
+        "b2 | a1 a2 a1 | B1 | A2",
+    ]
 
 
 def test_scan_report_schema():
