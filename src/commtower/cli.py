@@ -343,12 +343,22 @@ _HANDLERS = {
 _POSITIVE_FLAGS = ("max_level", "order_powers", "samples", "max_len",
                    "pair_len", "oracle_seeds", "rank1", "rank2")
 
+# Highest tower level each command may build (peak memory, CPython 3.11).
+_LEVEL_CAPS = {
+    "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
+    "max_level": 8,   # superdiagonal_assignment(8) at about 149 MB, x8 per level
+}
+
 
 def _check_bounds(args: argparse.Namespace) -> Optional[str]:
     for name in _POSITIVE_FLAGS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             return f"--{name.replace('_', '-')} must be positive, got {value}"
+    for name, cap in _LEVEL_CAPS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            return f"--{name.replace('_', '-')} must be at most {cap}, got {value}"
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 0:
         return f"--budget must be nonnegative, got {budget}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .words import Word
+from .words import Word, support
 
 
 class DimensionMismatchError(ValueError):
@@ -33,10 +33,16 @@ class IntMatrix:
         return matmul(self, other)
 
     def __pow__(self, k: int) -> "IntMatrix":
+        """Power by repeated squaring; a negative ``k`` inverts once."""
         base = self if k >= 0 else unitriangular_inverse(self)
         out = identity(self.dim)
-        for _ in range(abs(k)):
-            out = matmul(out, base)
+        k = abs(k)
+        while k:
+            if k & 1:
+                out = matmul(out, base)
+            k >>= 1
+            if k:
+                base = matmul(base, base)
         return out
 
     def entry(self, i: int, j: int) -> int:
@@ -126,14 +132,16 @@ def as_elementary(m: IntMatrix) -> Optional[tuple[int, int, int]]:
 def evaluate_word(assignment: Mapping[int, IntMatrix], w: Word) -> IntMatrix:
     """Evaluate a word under a generator -> matrix assignment.
 
-    The assigned matrices must share one dimension and be unitriangular
-    (negative letters need exact inverses).  When every assigned matrix is
-    elementary the product is folded by column operations, which keeps the
-    long tower relators cheap; otherwise it falls back to plain matmul.
+    The assigned matrices must share one dimension and be unitriangular.
+    Such an ``m`` is the product of the column operations
+    ``col_j += m[i][j] * col_i`` taken with j descending (each reads only
+    columns not yet changed), so every letter is applied to the running
+    product as those operations; an inverse letter applies them in reverse
+    order with negated coefficients.  An elementary image is one operation.
     """
-    mats: dict[int, IntMatrix] = {}
+    ops: dict[int, tuple[tuple[int, int, int], ...]] = {}
     dim = None
-    for gen in sorted(support_indices(w)):
+    for gen in sorted(support(w)):
         if gen not in assignment:
             raise ValueError(f"generator {gen} has no assigned matrix")
         m = assignment[gen]
@@ -144,31 +152,16 @@ def evaluate_word(assignment: Mapping[int, IntMatrix], w: Word) -> IntMatrix:
                 f"assigned matrices mix dimensions {dim} and {m.dim}")
         if not m.is_unitriangular():
             raise ValueError(f"matrix for generator {gen} is not unitriangular")
-        mats[gen] = m
+        ops[gen] = tuple((i, j, m.rows[i][j]) for j in range(dim - 1, 0, -1)
+                         for i in range(j) if m.rows[i][j])
+        ops[-gen] = tuple((i, j, -c) for i, j, c in reversed(ops[gen]))
     if dim is None:
         dim = next(iter(assignment.values())).dim if assignment else 1
         return identity(dim)
 
-    elem = {g: as_elementary(m) for g, m in mats.items()}
-    if all(v is not None for v in elem.values()):
-        rows = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-        for let in w.letters:
-            a, i, j = elem[abs(let)]  # type: ignore[misc]
-            if a == 0:
-                continue
-            coeff = a if let > 0 else -a
-            i -= 1
-            j -= 1
-            for row in rows:
-                row[j] += coeff * row[i]
-        return IntMatrix(dim, tuple(tuple(r) for r in rows))
-
-    inverses = {g: unitriangular_inverse(m) for g, m in mats.items()}
-    out = identity(dim)
+    rows = [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
     for let in w.letters:
-        out = matmul(out, mats[let] if let > 0 else inverses[-let])
-    return out
-
-
-def support_indices(w: Word) -> set[int]:
-    return {abs(let) for let in w.letters}
+        for i, j, c in ops[let]:
+            for row in rows:
+                row[j] += c * row[i]
+    return IntMatrix(dim, tuple(tuple(r) for r in rows))

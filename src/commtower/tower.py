@@ -150,10 +150,14 @@ class RepresentationReport:
 def verify_representation(n: int, order_powers: int = 100) -> RepresentationReport:
     """Check the superdiagonal assignment against the level-n relations.
 
-    Verifies that (a) every relator of :func:`central_presentation` evaluates
-    to the identity matrix, (b) the seed word maps to elementary(+-1, 1, 2^n+1)
-    with the sign recorded, and (c) the first ``order_powers`` powers of that
-    image are the expected pairwise-distinct elementary matrices.
+    Verifies that (a) every relator ``[seed, x(i)]`` of
+    :func:`central_presentation` maps to the identity matrix, checked through
+    the homomorphism: evaluation is a homomorphism from the free group, so a
+    relator's image is the commutator of the seed image with the image of
+    ``x(i)``, and the literal ``2*4^n + 2``-letter relators are never built;
+    (b) the seed word maps to elementary(+-1, 1, 2^n+1) with the sign
+    recorded; and (c) the first ``order_powers`` powers of that image are the
+    expected elementary matrices, pairwise distinct in entry (1, 2^n+1).
     """
     if n < 1:
         raise ValueError("representation checks need n >= 1")
@@ -163,13 +167,14 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
     failures: list[str] = []
 
     ident = identity(dim)
-    for i, relator in enumerate(central_presentation(n).relators, start=1):
-        if evaluate_word(assignment, relator) != ident:
+    seed = seed_word(n)
+    image = evaluate_word(assignment, seed)
+    bracket = commutator(generator(2, 1), generator(2, 2))
+    for i in range(1, rank + 1):
+        if evaluate_word({1: image, 2: assignment[i]}, bracket) != ident:
             failures.append(f"relator {i} does not map to the identity")
     relations_ok = not failures
 
-    seed = seed_word(n)
-    image = evaluate_word(assignment, seed)
     sign: int | None = None
     for s in (1, -1):
         if image == elementary(s, 1, dim, dim):
@@ -180,18 +185,12 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
     order_ok = sign is not None
     if sign is not None:
         acc = ident
-        seen = set()
         for k in range(1, order_powers + 1):
             acc = matmul(acc, image)
             if acc != elementary(sign * k, 1, dim, dim):
                 failures.append(f"power {k} of the seed image is unexpected")
                 order_ok = False
                 break
-            if acc in seen:
-                failures.append(f"power {k} repeats an earlier power")
-                order_ok = False
-                break
-            seen.add(acc)
 
     return RepresentationReport(
         n=n,

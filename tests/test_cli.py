@@ -108,6 +108,10 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["verify", "tower", "--max-level", "0"]) == 2  # bounds positive
     capsys.readouterr()
+    assert main(["verify", "tower", "--max-level", "20"]) == 2  # 4^20-letter seed
+    assert "at most 8" in capsys.readouterr().err
+    assert main(["check", "rn-split", "--level", "20"]) == 2
+    assert "at most 11" in capsys.readouterr().err
     assert main(["verify", "kernel", "--u1", "x1", "--u2", "x1",
                  "--samples", "2", "--max-len", "8", "--seed", "1",
                  "--oracle-degree", "1"]) == 2

@@ -61,7 +61,7 @@ def test_matmul_dim_mismatch():
         matmul(identity(3), identity(4))
 
 
-@given(st.integers(min_value=-10, max_value=10))
+@given(st.integers(min_value=-(2 ** 64), max_value=2 ** 64))
 def test_elementary_power_law(k):
     e = elementary(1, 1, 3, 3)
     assert e ** k == elementary(k, 1, 3, 3)
@@ -180,12 +180,38 @@ def test_fast_path_matches_naive_fold(raw):
     assert evaluate_word(psi1(), word) == _evaluate_naive(psi1(), word)
 
 
+@given(st.integers(min_value=2, max_value=3), st.data())
+def test_dense_assignment_matches_naive_fold(rank, data):
+    # dense images take several column operations per letter, and inverse
+    # letters replay them reversed and negated
+    assignment = {g: data.draw(random_unitriangular_st(4))
+                  for g in range(1, rank + 1)}
+    word = reduce_word(data.draw(letters_st(rank, 12)), rank)
+    assert evaluate_word(assignment, word) == _evaluate_naive(assignment, word)
+
+
 def test_evaluate_exact_on_long_products():
     # a 64-letter evaluation (4^3 elementary factors) stays exact
     from commtower.tower import seed_word, superdiagonal_assignment
 
     image = evaluate_word(superdiagonal_assignment(3), seed_word(3))
     assert image == elementary(1, 1, 9, 9)
+
+
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_relators_map_like_their_brackets(n, data):
+    # verify_representation evaluates [S, image of x(i)], S the seed image,
+    # in place of the literal relator [seed, x(i)]; under any assignment the
+    # two agree
+    from commtower.tower import central_presentation, seed_word
+
+    assignment = {g: data.draw(random_unitriangular_st(4))
+                  for g in range(1, 2 ** n + 1)}
+    seed_image = evaluate_word(assignment, seed_word(n))
+    bracket = parse_word("X1 X2 x1 x2", 2)
+    for i, relator in enumerate(central_presentation(n).relators, start=1):
+        assert _evaluate_naive(assignment, relator) == evaluate_word(
+            {1: seed_image, 2: assignment[i]}, bracket)
 
 
 def test_non_elementary_assignment_falls_back():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commtower.intmat import elementary, evaluate_word
+from commtower.intmat import elementary, evaluate_word, identity
 from commtower.tower import (
     TowerLevel,
     central_presentation,
@@ -164,6 +164,14 @@ def test_verify_representation_levels_2_to_4():
         # multiplies them, so the sign stays +1 all the way up
         assert report.sign == 1
         assert report.x01_length == 4 ** n
+
+
+def test_literal_relators_map_to_identity():
+    for n in (1, 2, 3, 4):
+        assignment = superdiagonal_assignment(n)
+        ident = identity(level_rank(n) + 1)
+        for relator in central_presentation(n).relators:
+            assert evaluate_word(assignment, relator) == ident
 
 
 def test_verify_representation_report_schema():
