@@ -349,6 +349,11 @@ _LEVEL_CAPS = {
     "max_level": 8,   # superdiagonal_assignment(8) at about 149 MB, x8 per level
 }
 
+# Most words the exhaustive phase of `scan commute` may list: the 22,409 of
+# --max-len 5 at rank 2+2 hold 19 MB (tracemalloc peak, CPython 3.11), about
+# 0.9 KB each and x7 per step there; the cap still admits --max-len 6.
+_SCAN_WORDS_CAP = 200_000
+
 
 def _check_bounds(args: argparse.Namespace) -> Optional[str]:
     for name in _POSITIVE_FLAGS:
@@ -359,6 +364,16 @@ def _check_bounds(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, name, None)
         if value is not None and value > cap:
             return f"--{name.replace('_', '-')} must be at most {cap}, got {value}"
+    if args.command == "scan":
+        letters = 2 * (args.rank1 + args.rank2)
+        count, grade = 1, letters
+        for _ in range(args.max_len):
+            count += grade
+            if count > _SCAN_WORDS_CAP:
+                return (f"--max-len {args.max_len} enumerates more than "
+                        f"{_SCAN_WORDS_CAP} words at rank "
+                        f"{args.rank1}+{args.rank2}")
+            grade *= letters - 1
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 0:
         return f"--budget must be nonnegative, got {budget}"

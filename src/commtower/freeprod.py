@@ -508,6 +508,13 @@ def _eval_word_perms(images: Sequence[tuple[int, ...]], w: Word,
     return out
 
 
+def _letter_table(images: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """Signed letter -> its permutation, inverse letters included."""
+    table = dict(enumerate(images, 1))
+    table.update({-i: _perm_inv(p) for i, p in table.items()})
+    return table
+
+
 @dataclass(frozen=True)
 class FiniteQuotientOracle:
     """A seeded homomorphism G -> Sym(degree) used to refute equalities.
@@ -524,6 +531,12 @@ class FiniteQuotientOracle:
     images1: tuple[tuple[int, ...], ...]
     images2: tuple[tuple[int, ...], ...]
     resamples: int = 0
+    _letter_images: tuple[dict[int, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_letter_images", (
+            _letter_table(self.images1), _letter_table(self.images2)))
 
     @classmethod
     def build(cls, ctx: GContext, degree: int, seed: int,
@@ -566,8 +579,9 @@ class FiniteQuotientOracle:
     def apply(self, w: SyllableWord) -> tuple[int, ...]:
         out = _perm_identity(self.degree)
         for factor, s in w.syllables:
-            images = self.images1 if factor == 1 else self.images2
-            out = _perm_mul(out, _eval_word_perms(images, s, self.degree))
+            table = self._letter_images[factor - 1]
+            for let in s.letters:
+                out = _perm_mul(out, table[let])
         return out
 
     def distinguishes(self, x: SyllableWord, y: SyllableWord) -> bool:

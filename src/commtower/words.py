@@ -188,8 +188,10 @@ def exponent_sum(w: Word) -> tuple[int, ...]:
 def cyclic_subgroup_exponent(u: Word, v: Word) -> Optional[int]:
     """Return k with ``v = u^k`` if one exists, else None.
 
-    Since |u^k| >= |k|*|core(u)| - 2*|conjugator(u)|, any solution satisfies
-    |k| <= 2*|v| / |core(u)| + 2, so the search below is exhaustive.
+    With ``u = conj^-1 core conj`` and the core cyclically reduced, ``core^k``
+    is reduced of length |k|*|core|, so ``v = u^k`` iff ``t = conj v conj^-1``
+    equals ``core^k``; that pins |k| to |t| / |core| and leaves two signs to
+    test.
     """
     if u.rank != v.rank:
         raise RankMismatchError(
@@ -198,13 +200,13 @@ def cyclic_subgroup_exponent(u: Word, v: Word) -> Optional[int]:
         raise ValueError("u must be nonempty")
     if len(v) == 0:
         return 0
-    core, _ = cyclic_reduce(u)
-    bound = 2 * len(v) // len(core) + 2
-    acc = u ** (-bound)
-    for k in range(-bound, bound + 1):
-        if acc == v:
-            return k
-        acc = acc * u
+    core, conj = cyclic_reduce(u)
+    t = conj * v * conj.inverse()
+    n, rest = divmod(len(t), len(core))
+    if rest == 0:
+        for k in (n, -n):
+            if core ** k == t:
+                return k
     return None
 
 
@@ -221,9 +223,18 @@ def coset_rep(u: Word, w: Word) -> Word:
     """Canonical (shortlex-minimal) representative of the right coset <u>w.
 
     Every coset element of length <= |w| is of the form u^k w with
-    |k| <= (2|w| + 2|conjugator(u)|) / |core(u)|, so scanning that window
-    finds the global shortlex minimum of the coset.  In particular the
-    representative of <u> itself is the empty word.
+    |k| <= (2|w| + 2|conjugator(u)|) / |core(u)|, so that window holds the
+    global shortlex minimum of the coset.  In particular the representative
+    of <u> itself is the empty word.
+
+    The window is walked on one letter stack holding u^k w reversed (first
+    letter on top): u^(k+1) w is u^k w with the letters of u pushed last to
+    first, each popping the top instead when it cancels it.  Only the lengths
+    are recorded.  Shortlex compares length first, so the minimum is among
+    the shortest candidates, and only those are built and compared.  The
+    words u^k w are pairwise distinct (free groups are torsion-free), so the
+    minimum is unique and does not depend on the order of the scan.  The cost
+    is O(bound*|u| + |w|) plus O(|w|) per shortest candidate.
     """
     if u.rank != w.rank:
         raise RankMismatchError(
@@ -232,17 +243,18 @@ def coset_rep(u: Word, w: Word) -> Word:
         raise ValueError("u must be nonempty")
     core, conj = cyclic_reduce(u)
     bound = (2 * len(w) + 2 * len(conj)) // len(core) + 2
-    best = None
-    best_key = None
-    acc = u ** (-bound)
-    for _ in range(-bound, bound + 1):
-        cand = acc * w
-        key = shortlex_key(cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-        acc = acc * u
-    assert best is not None
-    return best
+    stack = list(reversed((u ** (-bound) * w).letters))
+    lengths = [len(stack)]
+    for _ in range(2 * bound):
+        for let in reversed(u.letters):
+            if stack and stack[-1] == -let:
+                stack.pop()
+            else:
+                stack.append(let)
+        lengths.append(len(stack))
+    shortest = min(lengths)
+    return min((u ** k * w for k, n in zip(range(-bound, bound + 1), lengths)
+                if n == shortest), key=shortlex_key)
 
 
 def shift_index(w: Word, offset: int, rank: int) -> Word:

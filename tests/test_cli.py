@@ -112,6 +112,14 @@ def test_usage_errors(capsys):
     assert "at most 8" in capsys.readouterr().err
     assert main(["check", "rn-split", "--level", "20"]) == 2
     assert "at most 11" in capsys.readouterr().err
+    for max_len in ("7", "1000000000"):                # 10^6+ enumerated words
+        assert main(["scan", "commute", "--u1", "x1", "--u2", "x1",
+                     "--max-len", max_len, "--budget", "0", "--seed", "1"]) == 2
+        assert "more than 200000 words" in capsys.readouterr().err
+    assert main(["scan", "commute", "--u1", "x1", "--u2", "x1", "--rank1", "1",
+                 "--rank2", "1", "--max-len", "11", "--budget", "0",
+                 "--seed", "1"]) == 2                 # 354,293 words at 1+1
+    capsys.readouterr()
     assert main(["verify", "kernel", "--u1", "x1", "--u2", "x1",
                  "--samples", "2", "--max-len", "8", "--seed", "1",
                  "--oracle-degree", "1"]) == 2

@@ -412,6 +412,23 @@ def test_oracle_is_homomorphism_on_samples():
             oracle.apply(x), oracle.apply(y))
 
 
+def test_oracle_apply_matches_literal_fold():
+    from commtower.freeprod import _eval_word_perms, _perm_mul
+
+    rng = random.Random(29)
+    ctx_31 = GContext(3, 1, fw("x1 x3", 3), fw("x1", 1))
+    for ctx in (ctx_single(), ctx_double(), ctx_31):
+        for degree, seed in ((5, 1), (6, 2), (8, 3)):
+            oracle = FiniteQuotientOracle.build(ctx, degree, seed)
+            for _ in range(40):
+                x = random_syllable_word(rng, ctx.rank1, ctx.rank2, 16)
+                out = tuple(range(degree))
+                for factor, s in x.syllables:
+                    images = oracle.images1 if factor == 1 else oracle.images2
+                    out = _perm_mul(out, _eval_word_perms(images, s, degree))
+                assert oracle.apply(x) == out
+
+
 # --- enumeration and the commutation scan ----------------------------------------------------
 
 def test_enumerate_counts_rank22():

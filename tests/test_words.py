@@ -9,6 +9,7 @@ from commtower.words import (
     RankMismatchError,
     Word,
     commutator,
+    conjugate,
     coset_rep,
     cyclic_reduce,
     cyclic_subgroup_exponent,
@@ -17,6 +18,7 @@ from commtower.words import (
     is_cyclically_reduced,
     parse_word,
     primitive_root,
+    random_reduced_word,
     reduce_word,
     reduced_words,
     shortlex_key,
@@ -258,6 +260,52 @@ def test_cyclic_subgroup_exponent_roundtrip(u, k):
     assert u ** found == u ** k
 
 
+def _seeded_pairs(seed, count, max_len):
+    # (u, w) over ranks 1-3 with |u| <= 6: plain random u, conjugated short
+    # cores (not cyclically reduced) and proper powers; half of the w are
+    # premultiplied by a power of u so that their coset minimum lies inside
+    rng = random.Random(seed)
+    for i in range(count):
+        rank = rng.randint(1, 3)
+        kind = i % 3
+        if kind == 0:
+            u = random_reduced_word(rng, rank, rng.randint(1, 6))
+        elif kind == 1:
+            u = conjugate(random_reduced_word(rng, rank, rng.randint(1, 2)),
+                          random_reduced_word(rng, rank, rng.randint(1, 2)))
+        else:
+            u = random_reduced_word(rng, rank, rng.randint(1, 3)) ** 2
+        word = random_reduced_word(rng, rank, rng.randint(0, max_len))
+        if i % 2:
+            word = u ** rng.randint(-6, 6) * word
+        yield u, word
+
+
+def _cyclic_subgroup_exponent_literal(u, v):
+    # the multiply-and-compare search over |k| <= 2|v|/|core(u)| + 2
+    if len(v) == 0:
+        return 0
+    core, _ = cyclic_reduce(u)
+    bound = 2 * len(v) // len(core) + 2
+    acc = u ** (-bound)
+    for k in range(-bound, bound + 1):
+        if acc == v:
+            return k
+        acc = acc * u
+    return None
+
+
+def test_cyclic_subgroup_exponent_matches_literal_search():
+    rng = random.Random(7)
+    members = 0
+    for u, word in _seeded_pairs(41, 3000, 12):
+        v = u ** rng.randint(-7, 7) if rng.random() < 0.5 else word
+        found = cyclic_subgroup_exponent(u, v)
+        assert found == _cyclic_subgroup_exponent_literal(u, v)
+        members += found is not None
+    assert members > 1000
+
+
 # --- coset representatives ---------------------------------------------------
 
 def _coset_min_brute(u, word, rank):
@@ -269,6 +317,22 @@ def _coset_min_brute(u, word, rank):
         if not u.is_identity and cyclic_subgroup_exponent(u, diff) is not None:
             return cand
     return word
+
+
+def _coset_rep_literal(u, word):
+    # every candidate u^k w of the window multiplied out and keyed
+    core, conj = cyclic_reduce(u)
+    bound = (2 * len(word) + 2 * len(conj)) // len(core) + 2
+    best = None
+    best_key = None
+    acc = u ** (-bound)
+    for _ in range(-bound, bound + 1):
+        cand = acc * word
+        key = shortlex_key(cand)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+        acc = acc * u
+    return best
 
 
 def test_coset_rep_examples():
@@ -297,6 +361,27 @@ def test_coset_rep_matches_brute_force(u, word):
     if u.is_identity:
         return
     assert coset_rep(u, word) == _coset_min_brute(u, word, 2)
+
+
+def test_coset_rep_matches_literal_window():
+    for u, word in _seeded_pairs(5, 2000, 60):
+        assert coset_rep(u, word) == _coset_rep_literal(u, word)
+
+
+def test_coset_rep_multiplies_linearly(monkeypatch):
+    # letters through Word.__mul__ stay linear in |w|; the literal window
+    # passes about 1.6 * 10^6 at |w| = 512
+    word = random_reduced_word(random.Random(512), 2, 512)
+    passed = []
+    raw_mul = Word.__mul__
+
+    def counting_mul(a, b):
+        passed.append(len(a) + len(b))
+        return raw_mul(a, b)
+
+    monkeypatch.setattr(Word, "__mul__", counting_mul)
+    coset_rep(w("x1 x2"), word)
+    assert sum(passed) <= 8 * len(word)
 
 
 def test_shortlex_letter_order():
