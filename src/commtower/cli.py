@@ -343,15 +343,20 @@ _HANDLERS = {
 _POSITIVE_FLAGS = ("max_level", "order_powers", "samples", "max_len",
                    "pair_len", "oracle_seeds", "rank1", "rank2")
 
-# Highest tower level each command may build (peak memory, CPython 3.11).
-_LEVEL_CAPS = {
+# Highest value of each flag (peak memory and time, CPython 3.11).
+_CAPS = {
     "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
     "max_level": 8,   # superdiagonal_assignment(8) at about 149 MB, x8 per level
+    # From degree 11 up, FiniteQuotientOracle.build rejects all 9 x 10,000
+    # draws and takes its fallback: 0.9 s per oracle at degree 12 and
+    # 3.7-3.9 s at 64, about linear in the degree, once per --oracle-seeds.
+    "oracle_degree": 64,
 }
 
 # Most words the exhaustive phase of `scan commute` may list: the 22,409 of
-# --max-len 5 at rank 2+2 hold 19 MB (tracemalloc peak, CPython 3.11), about
-# 0.9 KB each and x7 per step there; the cap still admits --max-len 6.
+# --max-len 5 at rank 2+2, with the scan's index dict and inverse list, peak
+# at 20 MB (tracemalloc, CPython 3.11), about 0.9 KB each and x7 per step
+# there; the cap still admits --max-len 6.
 _SCAN_WORDS_CAP = 200_000
 
 
@@ -360,10 +365,15 @@ def _check_bounds(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             return f"--{name.replace('_', '-')} must be positive, got {value}"
-    for name, cap in _LEVEL_CAPS.items():
+    for name, cap in _CAPS.items():
         value = getattr(args, name, None)
         if value is not None and value > cap:
             return f"--{name.replace('_', '-')} must be at most {cap}, got {value}"
+    if args.command == "verify" and args.subcommand == "kernel" \
+            and args.max_len < 4:
+        # random_kernel_word regenerates until its length fits, and the
+        # shortest nontrivial kernel word is a 4-letter commutator
+        return f"--max-len must be at least 4 for verify kernel, got {args.max_len}"
     if args.command == "scan":
         letters = 2 * (args.rank1 + args.rank2)
         count, grade = 1, letters

@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, Sequence
 from .words import (
     RankMismatchError,
     Word,
+    _trusted_word,
     coset_rep,
     is_cyclically_reduced,
     primitive_root,
@@ -98,24 +99,51 @@ class SyllableWord:
         return f"SyllableWord({self.rank1}, {self.rank2}, {syllable_str(self)!r})"
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _trusted_syllables(rank1: int, rank2: int,
+                       syllables: tuple[tuple[int, Word], ...]) -> SyllableWord:
+    """A :class:`SyllableWord` from syllables already tagged and ranked for
+    their factor, nonempty and alternating; skips the checks of
+    ``SyllableWord.__post_init__``."""
+    w = _new(SyllableWord)
+    _setattr(w, "rank1", rank1)
+    _setattr(w, "rank2", rank2)
+    _setattr(w, "syllables", syllables)
+    return w
+
+
 def sp_empty(rank1: int, rank2: int) -> SyllableWord:
     return SyllableWord(rank1, rank2)
 
 
 def sp_reduce(rank1: int, rank2: int,
               raw: Iterable[tuple[int, Word]]) -> SyllableWord:
-    """Merge adjacent same-factor syllables and drop the empty ones."""
+    """Merge adjacent same-factor syllables and drop the empty ones.
+
+    Each raw syllable's factor tag and rank are checked; the merged result
+    alternates and has no empty syllable by construction.
+    """
+    ranks = (None, rank1, rank2)
     stack: list[tuple[int, Word]] = []
     for factor, w in raw:
-        if w.is_identity:
+        if factor != 1 and factor != 2:
+            raise ValueError(f"factor tag must be 1 or 2, got {factor}")
+        if w.rank != ranks[factor]:
+            raise RankMismatchError(
+                f"factor-{factor} syllable has rank {w.rank}, "
+                f"expected {ranks[factor]}")
+        if not w.letters:
             continue
         if stack and stack[-1][0] == factor:
             merged = stack.pop()[1] * w
-            if not merged.is_identity:
+            if merged.letters:
                 stack.append((factor, merged))
         else:
             stack.append((factor, w))
-    return SyllableWord(rank1, rank2, tuple(stack))
+    return _trusted_syllables(rank1, rank2, tuple(stack))
 
 
 def sp_from_word(rank1: int, rank2: int, factor: int, w: Word) -> SyllableWord:
@@ -137,9 +165,9 @@ def sp_multiply(*ws: SyllableWord) -> SyllableWord:
 
 
 def sp_invert(w: SyllableWord) -> SyllableWord:
-    return SyllableWord(
+    return _trusted_syllables(
         w.rank1, w.rank2,
-        tuple((f, s.inverse()) for f, s in reversed(w.syllables)))
+        tuple([(f, s.inverse()) for f, s in reversed(w.syllables)]))
 
 
 def sp_commutator(x: SyllableWord, y: SyllableWord) -> SyllableWord:
@@ -153,8 +181,8 @@ def sp_conjugate(w: SyllableWord, g: SyllableWord) -> SyllableWord:
 
 def h_map(w: SyllableWord) -> tuple[Word, Word]:
     """Project onto F1 (+) F2: multiply out each factor's syllables in order."""
-    p1 = Word(w.rank1)
-    p2 = Word(w.rank2)
+    p1 = _trusted_word(w.rank1, ())
+    p2 = _trusted_word(w.rank2, ())
     for factor, s in w.syllables:
         if factor == 1:
             p1 = p1 * s
@@ -241,8 +269,8 @@ def cartesian_basis_express(
     are trivial exactly when ``w`` is in the kernel, and then the returned
     factors multiply out to ``w`` exactly (in F1 * F2).
     """
-    p = Word(w.rank1)
-    q = Word(w.rank2)
+    p = _trusted_word(w.rank1, ())
+    q = _trusted_word(w.rank2, ())
     emitted: list[tuple[tuple[Word, Word], int]] = []
     for factor, s in w.syllables:
         if factor == 2:
@@ -598,11 +626,11 @@ def _split_factors(rank1: int, rank2: int, w: Word) -> SyllableWord:
     runs = itertools.groupby(w.letters, key=lambda let: abs(let) > rank1)
     for two, run in runs:
         if two:
-            syllables.append((2, Word(rank2, tuple(
-                let - rank1 if let > 0 else let + rank1 for let in run))))
+            syllables.append((2, _trusted_word(rank2, tuple([
+                let - rank1 if let > 0 else let + rank1 for let in run]))))
         else:
-            syllables.append((1, Word(rank1, tuple(run))))
-    return SyllableWord(rank1, rank2, tuple(syllables))
+            syllables.append((1, _trusted_word(rank1, tuple(run))))
+    return _trusted_syllables(rank1, rank2, tuple(syllables))
 
 
 def enumerate_syllable_words(rank1: int, rank2: int,
@@ -675,44 +703,70 @@ def commutation_scan(ctx: GContext, max_len: int, budget: int,
     """Hunt for pairs x, y that commute with [x, y] but have [x, y] != 1.
 
     Exhausts all pairs with |x| + |y| <= max_len, then draws ``budget``
-    seeded random pairs of length <= 2 * max_len each.  The exhaustive phase
+    seeded random pairs of length <= 2 * max_len each.  Any pair where both
+    x and y commute with c = [x, y] must satisfy c = 1 in G; violations are
+    collected as counterexamples (none are expected).
+
+    The exhaustive phase tests one pair per orbit of the group of order 8
+    generated by (x, y) -> (y, x), x -> x^-1 and y -> y^-1, and counts the
+    pair once per orbit member.  These maps keep |x| + |y|, so the pair set
+    is a union of orbits, and the outcome is the same on the whole orbit:
+    swapping turns c into c^-1, and [x^-1, y] = x c^-1 x^-1 is a conjugate
+    of c^-1, which x commutes with iff it commutes with c, and which then
+    equals c^-1.  A counterexample orbit is listed member by member, in the
+    order of the full double loop over the enumerated words.  The pair set
     relies on :func:`enumerate_syllable_words` being graded by length: once
-    |x| + |y| exceeds max_len, no later y fits with this x.  Any pair where
-    both x and y commute with c = [x, y] must satisfy c = 1 in G; violations
-    are collected as counterexamples (none are expected).
+    |x| + |y| exceeds max_len, no later y fits with this x.
     """
     pairs_tested = 0
     commuting = 0
-    counterexamples: list[dict] = []
 
-    def consider(x: SyllableWord, y: SyllableWord) -> None:
+    def consider(x: SyllableWord, y: SyllableWord, weight: int = 1) -> bool:
+        """Count the pair ``weight`` times; True if it is a counterexample."""
         nonlocal pairs_tested, commuting
-        pairs_tested += 1
+        pairs_tested += weight
         c = sp_commutator(x, y)
         if c.is_identity:
-            commuting += 1
-            return
+            commuting += weight
+            return False
         if not eq_in_G(ctx, sp_multiply(x, c), sp_multiply(c, x)):
-            return
+            return False
         if not eq_in_G(ctx, sp_multiply(y, c), sp_multiply(c, y)):
-            return
-        commuting += 1
-        if not is_trivial_in_G(ctx, c):
-            counterexamples.append(
-                {"x": syllable_str(x), "y": syllable_str(y)})
+            return False
+        commuting += weight
+        return not is_trivial_in_G(ctx, c)
 
     words = list(enumerate_syllable_words(ctx.rank1, ctx.rank2, max_len))
-    for x in words:
-        for y in words:
+    index = {w: i for i, w in enumerate(words)}
+    inv = [index[sp_invert(w)] for w in words]
+    found: list[tuple[int, int]] = []
+    for i, x in enumerate(words):
+        # (inv[i], j), (j, i) and (inv[j], i) share the orbit of (i, j), so
+        # (i, j) is its least member only if i <= inv[i], j, inv[j]
+        if inv[i] < i:
+            continue
+        if 2 * len(x) > max_len:
+            break
+        for j in range(i, len(words)):
+            y = words[j]
             if len(x) + len(y) > max_len:
                 break
-            consider(x, y)
+            if inv[j] < i:
+                continue
+            orbit = {(i, j), (inv[i], j), (i, inv[j]), (inv[i], inv[j])}
+            orbit.update([(b, a) for a, b in orbit])
+            if min(orbit) == (i, j) and consider(x, y, len(orbit)):
+                found.extend(orbit)
+    counterexamples = [{"x": syllable_str(words[i]), "y": syllable_str(words[j])}
+                       for i, j in sorted(found)]
 
     rng = random.Random(seed)
     for _ in range(budget):
         x = random_syllable_word(rng, ctx.rank1, ctx.rank2, 2 * max_len)
         y = random_syllable_word(rng, ctx.rank1, ctx.rank2, 2 * max_len)
-        consider(x, y)
+        if consider(x, y):
+            counterexamples.append(
+                {"x": syllable_str(x), "y": syllable_str(y)})
 
     return ScanReport(
         ctx=ctx, max_len=max_len, budget=budget, seed=seed,

@@ -6,6 +6,12 @@ letters over a declared alphabet rank.  Words are immutable values and every
 operation returns a fresh word, so everything here is safe to share between
 threads.
 
+Words are validated at the boundary only: ``Word(...)``, :func:`reduce_word`
+and :func:`parse_word` check the alphabet and free reduction, while the
+words this module computes from valid words (products, inverses, powers,
+cyclic cores, enumerated and sampled words) are built by
+:func:`_trusted_word`, which skips the checks.
+
 The commutator convention throughout is ``[a, b] = a^-1 b^-1 a b``.
 """
 
@@ -24,6 +30,11 @@ class RankMismatchError(ValueError):
     """Operands live over free groups of different ranks."""
 
 
+def _check_rank(rank: int) -> None:
+    if rank < 0:
+        raise AlphabetError(f"rank must be nonnegative, got {rank}")
+
+
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
     for let in letters:
@@ -34,6 +45,19 @@ def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _trusted_word(rank: int, letters: tuple[int, ...]) -> "Word":
+    """A :class:`Word` from letters already freely reduced over the alphabet
+    of ``rank``; skips the checks of ``Word.__post_init__``."""
+    w = _new(Word)
+    _setattr(w, "rank", rank)
+    _setattr(w, "letters", letters)
+    return w
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word over the free group of the given rank."""
@@ -42,8 +66,7 @@ class Word:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise AlphabetError(f"rank must be nonnegative, got {self.rank}")
+        _check_rank(self.rank)
         for let in self.letters:
             if let == 0 or abs(let) > self.rank:
                 raise AlphabetError(
@@ -63,14 +86,21 @@ class Word:
         if self.rank != other.rank:
             raise RankMismatchError(
                 f"cannot multiply words of rank {self.rank} and {other.rank}")
-        return Word(self.rank, _reduce_letters(self.letters + other.letters))
+        # both factors are reduced, so letters cancel only at the junction
+        a, b = self.letters, other.letters
+        n = len(a)
+        i, stop = 0, min(n, len(b))
+        while i < stop and a[n - 1 - i] == -b[i]:
+            i += 1
+        return _trusted_word(self.rank, a[:n - i] + b[i:])
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-let for let in reversed(self.letters)))
+        return _trusted_word(
+            self.rank, tuple([-let for let in reversed(self.letters)]))
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        return Word(self.rank, _reduce_letters(base.letters * abs(k)))
+        return _trusted_word(self.rank, _reduce_letters(base.letters * abs(k)))
 
     def __str__(self) -> str:
         return word_str(self)
@@ -131,8 +161,8 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     while i < j and letters[i] == -letters[j]:
         i += 1
         j -= 1
-    core = Word(w.rank, letters[i:j + 1]) if i <= j else Word(w.rank)
-    prefix = Word(w.rank, letters[:i])
+    core = _trusted_word(w.rank, letters[i:j + 1])
+    prefix = _trusted_word(w.rank, letters[:i])
     return core, prefix.inverse()
 
 
@@ -310,17 +340,19 @@ def reduced_words(rank: int, max_len: int) -> Iterator[Word]:
             yield from exact(prefix, remaining - 1)
             prefix.pop()
 
+    _check_rank(rank)
     for length in range(max_len + 1):
         for letters in exact([], length):
-            yield Word(rank, letters)
+            yield _trusted_word(rank, letters)
 
 
 def random_reduced_word(rng, rank: int, length: int) -> Word:
     """A uniformly chosen freely reduced word of exactly the given length."""
+    _check_rank(rank)
     letters: list[int] = []
     for _ in range(length):
         choices = [
             let for i in range(1, rank + 1) for let in (i, -i)
             if not letters or letters[-1] != -let]
         letters.append(rng.choice(choices))
-    return Word(rank, tuple(letters))
+    return _trusted_word(rank, tuple(letters))

@@ -124,6 +124,16 @@ def test_usage_errors(capsys):
                  "--samples", "2", "--max-len", "8", "--seed", "1",
                  "--oracle-degree", "1"]) == 2
     capsys.readouterr()
+    for max_len in ("1", "3"):                         # shortest kernel word: 4
+        assert main(["verify", "kernel", "--u1", "x1", "--u2", "x1",
+                     "--samples", "2", "--max-len", max_len,
+                     "--seed", "1"]) == 2
+        assert "at least 4" in capsys.readouterr().err
+    for degree in ("65", "100000000"):                 # no oracle is built
+        assert main(["verify", "kernel", "--u1", "x1", "--u2", "x1",
+                     "--samples", "2", "--max-len", "8", "--seed", "1",
+                     "--oracle-degree", degree]) == 2
+        assert "at most 64" in capsys.readouterr().err
 
 
 def test_text_format_has_verdict_line(capsys):

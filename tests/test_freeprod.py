@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from commtower import freeprod
 from commtower.freeprod import (
     FiniteQuotientOracle,
     GContext,
     KWord,
+    ScanReport,
     SyllableWord,
+    _split_factors,
     cartesian_basis_express,
     classify_symbol,
     commutation_scan,
@@ -32,7 +37,14 @@ from commtower.freeprod import (
     syllable_str,
 )
 from commtower.tower import split_context
-from commtower.words import RankMismatchError, Word, parse_word, word_str
+from commtower.words import (
+    RankMismatchError,
+    Word,
+    cyclic_reduce,
+    parse_word,
+    random_reduced_word,
+    word_str,
+)
 
 
 def fw(text, rank=2):
@@ -77,6 +89,39 @@ def test_syllable_word_validation():
         SyllableWord(2, 2, ((3, fw("x1")),))
     with pytest.raises(RankMismatchError):
         SyllableWord(2, 3, ((2, fw("x1", 2)),))
+
+
+def test_sp_reduce_checks_each_raw_syllable():
+    with pytest.raises(ValueError):
+        sp_reduce(2, 2, [(3, fw("x1")), (3, fw("X1"))])
+    with pytest.raises(ValueError):
+        sp_reduce(2, 2, [(0, Word(2))])
+    with pytest.raises(RankMismatchError):
+        sp_reduce(2, 3, [(2, fw("x1", 2))])
+    with pytest.raises(RankMismatchError):
+        sp_reduce(2, 3, [(2, fw("x1", 3)), (1, fw("x1", 3))])
+
+
+def _validated(w):
+    """``w`` rebuilt through the checking constructors."""
+    return SyllableWord(w.rank1, w.rank2, tuple(
+        (f, Word(s.rank, s.letters)) for f, s in w.syllables))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_trusted_syllable_words_equal_validated_reconstruction(seed):
+    rng = random.Random(seed)
+    rank1, rank2 = rng.randint(1, 3), rng.randint(1, 3)
+    x = random_syllable_word(rng, rank1, rank2, 12)
+    y = random_syllable_word(rng, rank1, rank2, 12)
+    flat = random_reduced_word(rng, rank1 + rank2, rng.randint(0, 12))
+    built = [x, y, sp_multiply(x, y), sp_invert(x), sp_commutator(x, y),
+             _split_factors(rank1, rank2, flat),
+             sp_reduce(rank1, rank2, x.syllables + sp_invert(y).syllables)]
+    for w in built:
+        assert _validated(w) == w
+    assert sp_multiply(x, y) == sp_reduce(
+        rank1, rank2, x.syllables + y.syllables)
 
 
 def test_sp_group_laws():
@@ -485,6 +530,72 @@ def test_scan_report_schema():
     assert list(report.to_json_dict()) == [
         "ctx", "max_len", "budget", "seed", "pairs_tested",
         "commuting_pairs_found", "counterexamples"]
+
+
+def _scan_literal(ctx, max_len, budget, seed):
+    """The commutation scan as the full double loop over the enumerated
+    words, each pair tested on its own."""
+    pairs_tested = commuting = 0
+    counterexamples = []
+
+    def consider(x, y):
+        nonlocal pairs_tested, commuting
+        pairs_tested += 1
+        c = sp_commutator(x, y)
+        if c.is_identity:
+            commuting += 1
+            return
+        if not freeprod.eq_in_G(ctx, sp_multiply(x, c), sp_multiply(c, x)):
+            return
+        if not freeprod.eq_in_G(ctx, sp_multiply(y, c), sp_multiply(c, y)):
+            return
+        commuting += 1
+        if not freeprod.is_trivial_in_G(ctx, c):
+            counterexamples.append({"x": syllable_str(x), "y": syllable_str(y)})
+
+    words = list(enumerate_syllable_words(ctx.rank1, ctx.rank2, max_len))
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > max_len:
+                break  # the enumeration is graded by length
+            consider(x, y)
+    rng = random.Random(seed)
+    for _ in range(budget):
+        x = random_syllable_word(rng, ctx.rank1, ctx.rank2, 2 * max_len)
+        y = random_syllable_word(rng, ctx.rank1, ctx.rank2, 2 * max_len)
+        consider(x, y)
+    return ScanReport(ctx, max_len, budget, seed, pairs_tested, commuting,
+                      tuple(counterexamples))
+
+
+@pytest.mark.parametrize("make_ctx, max_len", [
+    (ctx_double, 4), (ctx_single, 3), (lambda: split_context(2), 3)])
+def test_orbit_scan_matches_literal_scan(make_ctx, max_len):
+    for n in range(1, max_len + 1):
+        ctx = make_ctx()
+        assert commutation_scan(ctx, n, 25, n) == _scan_literal(ctx, n, 25, n)
+
+
+def test_orbit_scan_lists_counterexamples_like_literal_scan(monkeypatch):
+    # Declare commutators nontrivial by a key that conjugation and inversion
+    # in F1 * F2 keep (the cyclically reduced length over both factors'
+    # letters), so the forced counterexamples are unions of orbits.
+    raw_is_trivial = freeprod.is_trivial_in_G
+
+    def cyclic_length(c):
+        letters = tuple(let if f == 1 else let + (c.rank1 if let > 0 else -c.rank1)
+                        for f, s in c.syllables for let in s.letters)
+        return len(cyclic_reduce(Word(c.rank1 + c.rank2, letters))[0])
+
+    def forced(ctx, c):
+        return cyclic_length(c) not in (4, 8) and raw_is_trivial(ctx, c)
+
+    monkeypatch.setattr(freeprod, "is_trivial_in_G", forced)
+    for ctx in (ctx_single(), GContext(1, 1, fw("x1", 1), fw("x1", 1))):
+        orbit = commutation_scan(ctx, 4, 60, 3)
+        literal = _scan_literal(ctx, 4, 60, 3)
+        assert orbit == literal
+        assert 0 < len(orbit.counterexamples) < orbit.commuting_pairs_found
 
 
 def test_split_context_scans_clean():

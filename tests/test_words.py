@@ -424,6 +424,40 @@ def test_reduced_words_enumeration_counts():
     assert all(len(v) <= 3 for v in words)
 
 
+@given(words_st(3, 16), words_st(3, 16), st.integers(min_value=-5, max_value=5))
+def test_trusted_results_equal_validated_reconstruction(u, v, k):
+    # every library-built word is a valid Word equal to the one the checked
+    # path gives
+    inverse = tuple(-let for let in reversed(u.letters))
+    core, conj = cyclic_reduce(u)
+    conj_inverse = tuple(-let for let in reversed(conj.letters))
+    built = [
+        (u * v, reduce_word(u.letters + v.letters, 3)),
+        (u.inverse(), reduce_word(inverse, 3)),
+        (u ** k, reduce_word((u.letters if k >= 0 else inverse) * abs(k), 3)),
+        (core, reduce_word(conj.letters + u.letters + conj_inverse, 3)),
+        (conj, conj),
+    ]
+    if u.letters:
+        rep = coset_rep(u, v)
+        built.append((rep, rep))
+    for result, expected in built:
+        assert Word(result.rank, result.letters) == result == expected
+
+
+def test_trusted_enumerated_and_sampled_words_are_valid():
+    for v in reduced_words(3, 3):
+        assert Word(v.rank, v.letters) == v
+    rng = random.Random(8)
+    for _ in range(200):
+        v = random_reduced_word(rng, 3, rng.randint(0, 12))
+        assert Word(v.rank, v.letters) == v
+    with pytest.raises(AlphabetError):
+        next(reduced_words(-1, 2))
+    with pytest.raises(AlphabetError):
+        random_reduced_word(rng, -1, 0)
+
+
 def test_random_reduced_word_is_reduced():
     rng = random.Random(5)
     from commtower.words import random_reduced_word
