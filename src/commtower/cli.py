@@ -346,7 +346,9 @@ _POSITIVE_FLAGS = ("max_level", "order_powers", "samples", "max_len",
 # Highest value of each flag (peak memory and time, CPython 3.11).
 _CAPS = {
     "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
-    "max_level": 8,   # superdiagonal_assignment(8) at about 149 MB, x8 per level
+    # verify tower --max-level 8 runs in 8.1-8.8 s wall at 152 MB peak RSS
+    # (CPython 3.11, 2-core VM); the dense assignment grows x8 per level
+    "max_level": 8,
     # From degree 11 up, FiniteQuotientOracle.build rejects all 9 x 10,000
     # draws and takes its fallback: 0.9 s per oracle at degree 12 and
     # 3.7-3.9 s at 64, about linear in the degree, once per --oracle-seeds.

@@ -10,8 +10,9 @@ the seed word commute with every generator of its level, and the one-relator
 quotient that kills the seed word outright.  The superdiagonal assignment
 ``x(i) -> elementary(1, i, i+1)`` realizes the former family in the group of
 unitriangular integer matrices; :func:`verify_representation` checks all of
-its defining relations by exact arithmetic and certifies that the seed image
-is an elementary matrix of infinite order.
+its defining relations by exact arithmetic and checks that the seed image is
+exactly the elementary matrix ``e(+-1; 1, 2^n+1)``, which has infinite order
+by the additive law ``e(a; 1, d) e(b; 1, d) = e(a+b; 1, d)``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from . import freeprod
+# matmul stays imported because perfbench/spans.py patches tower.matmul
 from .intmat import IntMatrix, elementary, evaluate_word, identity, matmul
 from .words import (
     RankMismatchError,
@@ -156,11 +158,15 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
     relator's image is the commutator of the seed image with the image of
     ``x(i)``, and the literal ``2*4^n + 2``-letter relators are never built;
     (b) the seed word maps to elementary(+-1, 1, 2^n+1) with the sign
-    recorded; and (c) the first ``order_powers`` powers of that image are the
-    expected elementary matrices, pairwise distinct in entry (1, 2^n+1).
+    recorded; and (c) that image has infinite order.  (c) follows from (b):
+    ``E_(1,d)^2 = 0``, so the k-th power of ``e(s; 1, d)`` is ``e(sk; 1, d)``,
+    which differs from the identity for every k != 0.  ``order_checked_to``
+    echoes ``order_powers`` once (b) holds, and is 0 otherwise.
     """
     if n < 1:
         raise ValueError("representation checks need n >= 1")
+    if order_powers < 0:
+        raise ValueError(f"order_powers must be nonnegative, got {order_powers}")
     rank = level_rank(n)
     dim = rank + 1
     assignment = superdiagonal_assignment(n)
@@ -182,16 +188,6 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
     if sign is None:
         failures.append("seed image is not an elementary matrix at (1, dim)")
 
-    order_ok = sign is not None
-    if sign is not None:
-        acc = ident
-        for k in range(1, order_powers + 1):
-            acc = matmul(acc, image)
-            if acc != elementary(sign * k, 1, dim, dim):
-                failures.append(f"power {k} of the seed image is unexpected")
-                order_ok = False
-                break
-
     return RepresentationReport(
         n=n,
         rank=rank,
@@ -199,8 +195,8 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
         relations_ok=relations_ok,
         seed_image=image,
         sign=sign,
-        order_witness_ok=order_ok,
-        order_checked_to=order_powers if order_ok else 0,
+        order_witness_ok=sign is not None,
+        order_checked_to=order_powers if sign is not None else 0,
         failures=tuple(failures),
     )
 

@@ -26,6 +26,15 @@ def test_verify_tower(capsys):
     assert report["config"] == {"max_level": 2, "order_powers": 100}
 
 
+def test_verify_tower_order_count_costs_nothing(capsys):
+    # the additive law certifies any count without multiplying a power out
+    code, report = run_json(capsys, ["verify", "tower", "--max-level", "3",
+                                     "--order-powers", "1000000000"])
+    assert code == 0
+    assert [lvl["order_checked_to"] for lvl in report["levels"]] == \
+        [1_000_000_000] * 3
+
+
 def test_verify_kernel(capsys):
     argv = ["verify", "kernel", "--u1", "x1 x2", "--u2", "x1 x2",
             "--samples", "20", "--max-len", "20", "--seed", "3",

@@ -24,6 +24,13 @@ DIGESTS = {
     "eq_relation": "dcc0211c76c230bf3e9e94277e76468c0bf09753dd8d5dd2cf448cc1e3bbabd5",
 }
 
+# sha256 of `verify tower --max-level 6 --format json` per --order-powers;
+# the battery above stops at level 4
+TOWER_LEVEL6_DIGESTS = {
+    100: "7db90fe8f0665cce5ab861b15ca5d0e43c279735a3b9d319d5dfb302c29e213a",
+    7: "11990187231cdfc2d33e9492db5674b8b88e8ef2d3187fad8c6199676f18be9f",
+}
+
 
 def _batteries():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_checks.py"
@@ -41,3 +48,13 @@ def test_battery_reports_are_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == DIGESTS
+
+
+def test_tower_report_at_level_6_is_byte_identical(tmp_path, capsys):
+    for order_powers, digest in TOWER_LEVEL6_DIGESTS.items():
+        out = tmp_path / f"tower_{order_powers}.json"
+        assert main(["verify", "tower", "--max-level", "6", "--order-powers",
+                     str(order_powers), "--format", "json",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

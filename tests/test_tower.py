@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commtower.intmat import elementary, evaluate_word, identity
+from commtower import tower
+from commtower.intmat import elementary, evaluate_word, identity, matmul
 from commtower.tower import (
     TowerLevel,
     central_presentation,
@@ -164,6 +165,61 @@ def test_verify_representation_levels_2_to_4():
         # multiplies them, so the sign stays +1 all the way up
         assert report.sign == 1
         assert report.x01_length == 4 ** n
+
+
+def _order_literal(n, order_powers):
+    """The dense power loop the additive law replaced: multiply the seed
+    image out power by power against ``e(sign*k; 1, dim)``.  Returns
+    ``(order_witness_ok, order_checked_to)``."""
+    dim = level_rank(n) + 1
+    image = evaluate_word(superdiagonal_assignment(n), seed_word(n))
+    signs = [s for s in (1, -1) if image == elementary(s, 1, dim, dim)]
+    if not signs:
+        return False, 0
+    acc = identity(dim)
+    for k in range(1, order_powers + 1):
+        acc = matmul(acc, image)
+        if acc != elementary(signs[0] * k, 1, dim, dim):
+            return False, 0
+    return True, order_powers
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_order_certificate_matches_power_loop(n):
+    for order_powers in (0, 1, 7, 100):
+        report = verify_representation(n, order_powers=order_powers)
+        assert (report.order_witness_ok, report.order_checked_to) == \
+            _order_literal(n, order_powers)
+        assert report.ok
+
+
+def test_order_certificate_fails_without_elementary_seed_image(monkeypatch):
+    honest = tower.superdiagonal_assignment
+
+    def skewed(n):
+        assignment = dict(honest(n))
+        assignment[1] = elementary(2, 1, 2, len(assignment) + 1)
+        return assignment
+
+    monkeypatch.setattr(tower, "superdiagonal_assignment", skewed)
+    for n in (1, 2, 3):
+        report = verify_representation(n)
+        assert report.sign is None
+        assert not report.order_witness_ok
+        assert report.order_checked_to == 0
+        assert not report.ok
+        assert report.relations_ok
+        assert report.failures == (
+            "seed image is not an elementary matrix at (1, dim)",)
+
+
+def test_order_powers_must_be_nonnegative():
+    for order_powers in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_representation(1, order_powers)
+    report = verify_representation(1, 0)
+    assert report.ok
+    assert report.order_checked_to == 0
 
 
 def test_literal_relators_map_to_identity():
