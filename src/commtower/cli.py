@@ -136,7 +136,7 @@ def _cmd_verify_tower(args: argparse.Namespace) -> dict:
         perfectness.append(report.to_json_dict())
     lengths = []
     for n in range(0, args.max_level + 1):
-        length = len(tower.seed_word(n))
+        length = tower.seed_length(n)
         good = length == 4 ** n
         ok = ok and good
         lengths.append({"n": n, "length": length, "ok": good})
@@ -346,9 +346,10 @@ _POSITIVE_FLAGS = ("max_level", "order_powers", "samples", "max_len",
 # Highest value of each flag (peak memory and time, CPython 3.11).
 _CAPS = {
     "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
-    # verify tower --max-level 8 runs in 8.1-8.8 s wall at 152 MB peak RSS
-    # (CPython 3.11, 2-core VM); the dense assignment grows x8 per level
-    "max_level": 8,
+    # verify tower --max-level 17 runs in 5.1-6.1 s wall at 128 MB peak RSS
+    # (16: 3.1-4.2 s, 73 MB; 18: 16.2 s, 244 MB; CPython 3.11, 2-core VM);
+    # the sparse images grow x2 per level in time and memory
+    "max_level": 17,
     # From degree 11 up, FiniteQuotientOracle.build rejects all 9 x 10,000
     # draws and takes its fallback: 0.9 s per oracle at degree 12 and
     # 3.7-3.9 s at 64, about linear in the degree, once per --oracle-seeds.

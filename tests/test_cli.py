@@ -1,5 +1,6 @@
 import json
 
+from commtower import tower
 from commtower.cli import main
 
 
@@ -33,6 +34,36 @@ def test_verify_tower_order_count_costs_nothing(capsys):
     assert code == 0
     assert [lvl["order_checked_to"] for lvl in report["levels"]] == \
         [1_000_000_000] * 3
+
+
+def test_verify_tower_builds_no_long_seed_word(capsys, monkeypatch):
+    honest = tower.seed_word
+
+    def guarded(n):
+        if n > 8:
+            raise AssertionError(f"built the 4^{n}-letter seed word")
+        return honest(n)
+
+    monkeypatch.setattr(tower, "seed_word", guarded)
+    code, report = run_json(capsys, ["verify", "tower", "--max-level", "12"])
+    assert code == 0
+    assert [lvl["sign"] for lvl in report["levels"]] == [1] * 12
+    assert [entry["length"] for entry in report["x01_lengths"]] == \
+        [4 ** n for n in range(13)]
+
+
+def test_verify_tower_length_law_mutation(capsys, monkeypatch):
+    # blocks that cancel across a junction (x1 X2 -> ... x2 X2 ...) leave
+    # the length law uncertified from level 2 on
+    monkeypatch.setattr(tower, "_blocks", lambda i: ((-1, -2, 1, 2),
+                                                     (-2, -1, 2, 1)))
+    code, report = run_json(capsys, ["verify", "tower", "--max-level", "3"])
+    assert code == 1
+    assert report["ok"] is False
+    assert report["x01_lengths"] == [
+        {"n": 0, "length": 1, "ok": True}, {"n": 1, "length": 4, "ok": True},
+        {"n": 2, "length": None, "ok": False},
+        {"n": 3, "length": None, "ok": False}]
 
 
 def test_verify_kernel(capsys):
@@ -117,8 +148,8 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["verify", "tower", "--max-level", "0"]) == 2  # bounds positive
     capsys.readouterr()
-    assert main(["verify", "tower", "--max-level", "20"]) == 2  # 4^20-letter seed
-    assert "at most 8" in capsys.readouterr().err
+    assert main(["verify", "tower", "--max-level", "18"]) == 2  # 2^18 images
+    assert "at most 17" in capsys.readouterr().err
     assert main(["check", "rn-split", "--level", "20"]) == 2
     assert "at most 11" in capsys.readouterr().err
     for max_len in ("7", "1000000000"):                # 10^6+ enumerated words

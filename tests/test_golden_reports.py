@@ -31,6 +31,13 @@ TOWER_LEVEL6_DIGESTS = {
     7: "11990187231cdfc2d33e9492db5674b8b88e8ef2d3187fad8c6199676f18be9f",
 }
 
+# the same at --max-level 8, as written when the seed image came from the
+# dense 4^n-letter evaluation; the sparse pull-back must reproduce them
+TOWER_LEVEL8_DIGESTS = {
+    100: "9e06e55975599b0ff239533f9eca03fe8cec7b9036a64f62004c6d7ca07907d4",
+    7: "3f7e06b1de8d6b08922e162d996b30a0497412bf2dfaac7a1fff5afc83b41616",
+}
+
 
 def _batteries():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_checks.py"
@@ -50,11 +57,19 @@ def test_battery_reports_are_byte_identical(tmp_path, capsys):
     assert digests == DIGESTS
 
 
+def _tower_digest(tmp_path, capsys, level, order_powers):
+    out = tmp_path / f"tower_{level}_{order_powers}.json"
+    assert main(["verify", "tower", "--max-level", str(level), "--order-powers",
+                 str(order_powers), "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_tower_report_at_level_6_is_byte_identical(tmp_path, capsys):
     for order_powers, digest in TOWER_LEVEL6_DIGESTS.items():
-        out = tmp_path / f"tower_{order_powers}.json"
-        assert main(["verify", "tower", "--max-level", "6", "--order-powers",
-                     str(order_powers), "--format", "json",
-                     "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert _tower_digest(tmp_path, capsys, 6, order_powers) == digest
+
+
+def test_tower_report_at_level_8_is_byte_identical(tmp_path, capsys):
+    for order_powers, digest in TOWER_LEVEL8_DIGESTS.items():
+        assert _tower_digest(tmp_path, capsys, 8, order_powers) == digest

@@ -8,8 +8,12 @@ from commtower.intmat import (
     as_elementary,
     elementary,
     evaluate_word,
+    from_entries,
     identity,
     matmul,
+    sparse_commutator,
+    sparse_inverse,
+    sparse_mul,
     unitriangular_inverse,
 )
 from commtower.words import parse_word, reduce_word
@@ -120,6 +124,46 @@ def test_inverse_round_trip(a):
 @given(random_unitriangular_st(4), random_unitriangular_st(4))
 def test_unitriangular_closed_under_product(a, b):
     assert matmul(a, b).is_unitriangular()
+
+
+# --- sparse form ---------------------------------------------------------------------
+
+def _sparse(m):
+    return {(i + 1, j + 1): m.rows[i][j]
+            for i in range(m.dim) for j in range(i + 1, m.dim) if m.rows[i][j]}
+
+
+def sparse_unitriangular_pair_st(max_dim):
+    # mostly zero and small entries, so products cancel and the sparse
+    # results must drop the zeros they produce
+    entry = st.one_of(st.just(0), st.integers(min_value=-2, max_value=2),
+                      st.integers(min_value=-(2 ** 70), max_value=2 ** 70))
+
+    def pair(dim):
+        n_entries = dim * (dim - 1) // 2
+        upper = st.lists(entry, min_size=n_entries, max_size=n_entries).map(
+            lambda vals: _fill_upper(dim, vals))
+        return st.tuples(upper, upper)
+    return st.integers(min_value=1, max_value=max_dim).flatmap(pair)
+
+
+@given(sparse_unitriangular_pair_st(6))
+def test_sparse_arithmetic_matches_dense(pair):
+    a, b = pair
+    sa, sb = _sparse(a), _sparse(b)
+    assert from_entries(a.dim, sa.items()) == a
+    assert sparse_mul(sa, sb) == _sparse(matmul(a, b))
+    assert sparse_inverse(sa) == _sparse(unitriangular_inverse(a))
+    inv_a, inv_b = unitriangular_inverse(a), unitriangular_inverse(b)
+    bracket = matmul(matmul(inv_a, inv_b), matmul(a, b))
+    assert sparse_commutator(sa, sb) == _sparse(bracket)
+    assert sparse_commutator(sa, sparse_mul(sa, sa)) == {}
+
+
+def test_from_entries_rejects_slots_off_the_upper_triangle():
+    for slot in ((2, 1), (2, 2), (0, 1), (1, 4)):
+        with pytest.raises(IndexError):
+            from_entries(3, [(slot, 5)])
 
 
 # --- word evaluation ---------------------------------------------------------------

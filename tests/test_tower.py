@@ -3,18 +3,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commtower import tower
-from commtower.intmat import elementary, evaluate_word, identity, matmul
+from commtower.intmat import (
+    elementary,
+    evaluate_word,
+    from_entries,
+    identity,
+    matmul,
+    sparse_commutator,
+)
 from commtower.tower import (
     TowerLevel,
     central_presentation,
+    doubling_is_cancellation_free,
     doubling_map,
     heisenberg_nf,
     level_rank,
     one_relator_presentation,
     perfectness_witness,
+    pull_back,
+    seed_length,
     seed_word,
     split_context,
     superdiagonal_assignment,
+    superdiagonal_images,
     verify_representation,
 )
 from commtower.words import (
@@ -77,8 +88,33 @@ def test_seed_word_small_levels():
 
 
 def test_seed_word_lengths():
+    # the literal length check behind seed_length's law
     for n in range(9):
         assert len(seed_word(n)) == 4 ** n
+        assert seed_length(n) == 4 ** n
+
+
+def test_length_law_is_certified():
+    for n in range(11):
+        assert doubling_is_cancellation_free(n)
+    with pytest.raises(ValueError):
+        seed_length(-1)
+
+
+def test_length_law_fails_when_blocks_cancel(monkeypatch):
+    # every generator -> [x1, x2]: the block of x1 ends in x2, and the block
+    # of X2 starts with X2, so x1 X2 doubles with a cancellation
+    monkeypatch.setattr(tower, "_blocks", lambda i: ((-1, -2, 1, 2),
+                                                     (-2, -1, 2, 1)))
+    assert doubling_is_cancellation_free(0)
+    assert not doubling_is_cancellation_free(1)
+    assert [seed_length(n) for n in range(4)] == [1, 4, None, None]
+    # a block that is not a reduced 4-letter word fails at every level
+    for block in ((-1, 1, -2, -3), (-1, -2, 2, -3), (-1, -2, -3, 3),
+                  (-1, -2, 1), (-1, -2, 1, 2, 3)):
+        monkeypatch.setattr(tower, "_blocks",
+                            lambda i, block=block: (block, (-2, -1, 2, 1)))
+        assert not doubling_is_cancellation_free(0)
 
 
 def test_seed_word_abelianizes_to_zero():
@@ -137,6 +173,22 @@ def test_presentation_json():
 
 # --- matrix representation ---------------------------------------------------------
 
+def test_sparse_and_dense_assignments_agree():
+    for n in range(1, 7):
+        dim = level_rank(n) + 1
+        images = superdiagonal_images(n)
+        assignment = superdiagonal_assignment(n)
+        assert list(images) == list(assignment) == list(range(1, dim))
+        for i, m in assignment.items():
+            assert m == elementary(1, i, i + 1, dim)
+            for r in range(1, dim + 1):
+                for c in range(1, dim + 1):
+                    expected = 1 if r == c else images[i].get((r, c), 0)
+                    assert m.entry(r, c) == expected
+    with pytest.raises(ValueError):
+        superdiagonal_images(0)
+
+
 def test_superdiagonal_assignment_level1():
     assignment = superdiagonal_assignment(1)
     assert assignment[1] == elementary(1, 1, 2, 3)
@@ -194,14 +246,14 @@ def test_order_certificate_matches_power_loop(n):
 
 
 def test_order_certificate_fails_without_elementary_seed_image(monkeypatch):
-    honest = tower.superdiagonal_assignment
+    honest = tower.superdiagonal_images
 
     def skewed(n):
-        assignment = dict(honest(n))
-        assignment[1] = elementary(2, 1, 2, len(assignment) + 1)
-        return assignment
+        images = dict(honest(n))
+        images[1] = {(1, 2): 2}
+        return images
 
-    monkeypatch.setattr(tower, "superdiagonal_assignment", skewed)
+    monkeypatch.setattr(tower, "superdiagonal_images", skewed)
     for n in (1, 2, 3):
         report = verify_representation(n)
         assert report.sign is None
@@ -213,6 +265,39 @@ def test_order_certificate_fails_without_elementary_seed_image(monkeypatch):
             "seed image is not an elementary matrix at (1, dim)",)
 
 
+def test_negative_seed_sign_is_recorded(monkeypatch):
+    honest = tower.superdiagonal_images
+
+    def flipped(n):
+        images = dict(honest(n))
+        images[1] = {(1, 2): -1}
+        return images
+
+    monkeypatch.setattr(tower, "superdiagonal_images", flipped)
+    for n in (1, 2, 3):
+        report = verify_representation(n)
+        assert report.ok, report.failures
+        assert report.sign == -1
+        assert report.seed_image == elementary(-1, 1, level_rank(n) + 1,
+                                               level_rank(n) + 1)
+
+
+def test_relator_failures_are_reported(monkeypatch):
+    # a seed image e(1; 1, 2) fails to commute with x(2) -> e(1; 2, 3) only
+    honest = tower.pull_back
+
+    def skewed(images):
+        return {1: {(1, 2): 1}} if len(images) == 2 else honest(images)
+
+    monkeypatch.setattr(tower, "pull_back", skewed)
+    report = verify_representation(2)
+    assert not report.relations_ok
+    assert report.sign is None
+    assert report.failures == (
+        "relator 2 does not map to the identity",
+        "seed image is not an elementary matrix at (1, dim)")
+
+
 def test_order_powers_must_be_nonnegative():
     for order_powers in (-1, -5):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -220,6 +305,46 @@ def test_order_powers_must_be_nonnegative():
     report = verify_representation(1, 0)
     assert report.ok
     assert report.order_checked_to == 0
+
+
+def test_seed_image_matches_literal_evaluation():
+    # the 4^n-letter evaluation the pull-back replaced
+    for n in range(1, 7):
+        report = verify_representation(n)
+        literal = evaluate_word(superdiagonal_assignment(n), seed_word(n))
+        assert report.seed_image == literal
+        assert report.x01_length == len(seed_word(n))
+
+
+def test_sparse_relator_brackets_match_dense_brackets():
+    bracket = commutator(generator(2, 1), generator(2, 2))
+    for n in range(1, 6):
+        dim = level_rank(n) + 1
+        images = superdiagonal_images(n)
+        assignment = superdiagonal_assignment(n)
+        seed = images
+        for _ in range(n):
+            seed = pull_back(seed)
+        # the seed image, and the non-central image of level n-1's x(1)
+        for s in (seed[1], pull_back(images)[1]):
+            dense_s = from_entries(dim, s.items())
+            for i, image in images.items():
+                dense = evaluate_word({1: dense_s, 2: assignment[i]}, bracket)
+                assert from_entries(dim, sparse_commutator(s, image).items()) == dense
+
+
+def test_pull_back_follows_the_steinberg_relation():
+    # level n-k generator i pulls back to e(+-1; (i-1) 2^k + 1, i 2^k + 1)
+    for n in range(1, 11):
+        images = superdiagonal_images(n)
+        for k in range(n + 1):
+            assert len(images) == 2 ** (n - k)
+            for i, image in images.items():
+                ((slot, c),) = image.items()
+                assert slot == ((i - 1) * 2 ** k + 1, i * 2 ** k + 1)
+                assert c in (1, -1)
+            if k < n:
+                images = pull_back(images)
 
 
 def test_literal_relators_map_to_identity():
@@ -248,6 +373,34 @@ def test_perfectness_witness():
         report = perfectness_witness(n)
         assert report.ok
         assert report.nonzero_generators == ()
+
+
+def _perfectness_literal(n):
+    """The abelianization by full exponent-sum vectors that the per-block
+    count replaced."""
+    rank = level_rank(n)
+    return tuple(i for i in range(1, rank + 1)
+                 if any(exponent_sum(doubling_map(n, generator(rank, i)))))
+
+
+def test_perfectness_matches_exponent_sums(monkeypatch):
+    for n in range(9):
+        assert perfectness_witness(n).nonzero_generators == ()
+        assert _perfectness_literal(n) == ()
+    honest = tower._blocks
+
+    def skewed(i):
+        # every third generator maps to x(2i-1)^-1 x(2i)^-1 x(2i-1)^2
+        if i % 3:
+            return honest(i)
+        a, b = 2 * i - 1, 2 * i
+        return (-a, -b, a, a), (-a, -a, b, a)
+
+    monkeypatch.setattr(tower, "_blocks", skewed)
+    for n in range(9):
+        report = perfectness_witness(n)
+        assert report.nonzero_generators == _perfectness_literal(n)
+        assert report.ok == (level_rank(n) < 3)
 
 
 # --- the rank-2 nilpotent model ------------------------------------------------------
