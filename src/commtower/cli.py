@@ -134,9 +134,10 @@ def _cmd_verify_tower(args: argparse.Namespace) -> dict:
         report = tower.perfectness_witness(n)
         ok = ok and report.ok
         perfectness.append(report.to_json_dict())
+    # each level report already certified the length law for its n
     lengths = []
-    for n in range(0, args.max_level + 1):
-        length = tower.seed_length(n)
+    for n, length in enumerate([tower.seed_length(0)] +
+                               [level["x01_length"] for level in levels]):
         good = length == 4 ** n
         ok = ok and good
         lengths.append({"n": n, "length": length, "ok": good})
@@ -350,9 +351,9 @@ _CAPS = {
     # (16: 3.1-4.2 s, 73 MB; 18: 16.2 s, 244 MB; CPython 3.11, 2-core VM);
     # the sparse images grow x2 per level in time and memory
     "max_level": 17,
-    # From degree 11 up, FiniteQuotientOracle.build rejects all 9 x 10,000
-    # draws and takes its fallback: 0.9 s per oracle at degree 12 and
-    # 3.7-3.9 s at 64, about linear in the degree, once per --oracle-seeds.
+    # An oracle build takes about 0.25 ms at degree 64 (0.1 ms at 8); the
+    # oracles' apply costs O(degree) per letter, so verify kernel --samples
+    # 200 --max-len 24 with 20 oracle seeds takes 1.5-1.7 s at 64 (0.5 s at 8)
     "oracle_degree": 64,
 }
 

@@ -348,38 +348,25 @@ def kword_reduce(items: Iterable[tuple[KBasisSymbol, int]]) -> KWord:
     return KWord(tuple(stack))
 
 
-def kword_concat(*kws: KWord) -> KWord:
-    return kword_reduce(
-        itertools.chain.from_iterable(kw.symbols for kw in kws))
-
-
-def classify_symbol(ctx: GContext, v1: Word, v2: Word) -> KBasisSymbol:
-    """Classify [v1, v2] as a kind-A or kind-B basis symbol."""
-    if v1.is_identity or v2.is_identity:
-        raise ValueError("basis symbols need nontrivial components")
-    if ctx.rep1(v1) == v1:
-        return KBasisSymbol(v1, v2, "A")
-    if ctx.rep2(v2) == v2:
-        return KBasisSymbol(v1, v2, "B")
-    raise ValueError(
-        f"[{word_str(v1)}, {word_str(v2)}] is not a basis symbol in this context")
-
-
 def rewrite_commutator(ctx: GContext, w1: Word, w2: Word) -> KWord:
     """Rewrite [w1, w2] into basis symbols:
     [w1, w2] = [w1, s2] [s2, s1] [s1, w2], s_i the coset representative of
-    <u_i> w_i; factors with a trivial s-component vanish and are dropped."""
+    <u_i> w_i; factors with a trivial s-component vanish and are dropped.
+
+    The kinds follow from ``coset_rep`` being idempotent: [s1, s2] and
+    [s1, w2] are kind "A", and [w1, s2] is kind "A" iff w1 is its own
+    representative s1, and kind "B" otherwise."""
     if w1.is_identity or w2.is_identity:
         raise ValueError("rewrite needs nontrivial w1, w2")
     s1 = ctx.rep1(w1)
     s2 = ctx.rep2(w2)
     out: list[tuple[KBasisSymbol, int]] = []
     if not s2.is_identity:
-        out.append((classify_symbol(ctx, w1, s2), 1))
-    if not (s1.is_identity or s2.is_identity):
-        out.append((classify_symbol(ctx, s1, s2), -1))  # [s2, s1] = [s1, s2]^-1
+        out.append((KBasisSymbol(w1, s2, "A" if s1 == w1 else "B"), 1))
     if not s1.is_identity:
-        out.append((classify_symbol(ctx, s1, w2), 1))
+        if not s2.is_identity:
+            out.append((KBasisSymbol(s1, s2, "A"), -1))  # [s2, s1] = [s1, s2]^-1
+        out.append((KBasisSymbol(s1, w2, "A"), 1))
     return kword_reduce(out)
 
 
@@ -396,11 +383,12 @@ def k_image(ctx: GContext, w: SyllableWord) -> KWord:
     on the basis; emptiness certifying triviality needs only the rewriting
     identities, which hold in G unconditionally).
     """
-    pieces = []
+    items: list[tuple[KBasisSymbol, int]] = []
     for (v1, v2), sign in cartesian_basis_express(w):
-        kw = rewrite_commutator(ctx, v1, v2)
-        pieces.append(kw if sign >= 0 else kw.inverse())
-    return kword_concat(*pieces)
+        symbols = rewrite_commutator(ctx, v1, v2).symbols
+        items.extend(symbols if sign >= 0 else
+                     [(sym, -e) for sym, e in reversed(symbols)])
+    return kword_reduce(items)
 
 
 def eq_in_G(ctx: GContext, x: SyllableWord, y: SyllableWord) -> bool:
@@ -543,21 +531,55 @@ def _letter_table(images: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...
     return table
 
 
+def _cycles_by_length(p: tuple[int, ...]) -> dict[int, list[list[int]]]:
+    """The cycles of ``p``, each listed from its least point in the order
+    ``i, p[i], p[p[i]], ...``, grouped by length."""
+    groups: dict[int, list[list[int]]] = {}
+    seen: set[int] = set()
+    for start in range(len(p)):
+        if start not in seen:
+            cycle = [start]
+            while p[cycle[-1]] != start:
+                cycle.append(p[cycle[-1]])
+            seen.update(cycle)
+            groups.setdefault(len(cycle), []).append(cycle)
+    return groups
+
+
+def _centralizer_perm(groups: dict[int, list[list[int]]],
+                      rng: random.Random) -> tuple[int, ...]:
+    """A uniform random element of the centralizer of the permutation whose
+    cycles, grouped by length, are ``groups``: the cycles of each length go
+    onto a random permutation of themselves, each with a random rotation."""
+    out = [0] * sum(length * len(cycles) for length, cycles in groups.items())
+    for length, cycles in groups.items():
+        for src, dst in zip(cycles, rng.sample(cycles, len(cycles))):
+            turn = rng.randrange(length)
+            for k, point in enumerate(src):
+                out[point] = dst[(k + turn) % length]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FiniteQuotientOracle:
     """A seeded homomorphism G -> Sym(degree) used to refute equalities.
 
-    Factor-one generators get uniform random permutations; factor-two
-    generators are drawn from the centralizer of the image of u1 (rejection
-    sampling over random permutations, with powers of that image as the
-    guaranteed fallback), so the defining commutator always dies and words
-    equal in G must have equal images.
+    Factor-one generators get uniform random permutations.  Factor-two
+    generators are drawn uniformly from the centralizer C(σ) of σ, the image
+    of u1, which is the product over cycle lengths ℓ of Z_ℓ ≀ S_(m_ℓ), m_ℓ
+    the number of ℓ-cycles of σ: a permutation commutes with σ exactly when
+    it carries each cycle of σ onto a cycle of the same length, preserving
+    the cyclic order.  Every such draw gives a homomorphism of G: free
+    factors take any generator images, and the image of u2 lies in the
+    subgroup C(σ), so the defining commutator [u1, u2] dies and words equal
+    in G have equal images.
     """
 
     degree: int
     seed: int
     images1: tuple[tuple[int, ...], ...]
     images2: tuple[tuple[int, ...], ...]
+    # always 0: read only by the benchmark tracer (perfbench/spans.py)
     resamples: int = 0
     _letter_images: tuple[dict[int, tuple[int, ...]], ...] = field(
         init=False, repr=False, compare=False)
@@ -568,41 +590,15 @@ class FiniteQuotientOracle:
 
     @classmethod
     def build(cls, ctx: GContext, degree: int, seed: int,
-              budget: int = 10_000, max_resamples: int = 8) -> "FiniteQuotientOracle":
+              # ignored: read only by the benchmark tracer (perfbench/spans.py)
+              max_resamples: int = 8) -> "FiniteQuotientOracle":
         if degree < 2:
             raise ValueError("oracle degree must be at least 2")
-        for attempt in range(max_resamples + 1):
-            rng = random.Random(1_000_003 * seed + 7 * degree + attempt)
-            images1 = tuple(_random_perm(rng, degree) for _ in range(ctx.rank1))
-            center = _eval_word_perms(images1, ctx.u1, degree)
-            images2 = []
-            exhausted = False
-            for _ in range(ctx.rank2):
-                pick = None
-                for _ in range(budget):
-                    cand = _random_perm(rng, degree)
-                    if _perm_mul(cand, center) == _perm_mul(center, cand):
-                        pick = cand
-                        break
-                if pick is None:
-                    exhausted = True
-                    break
-                images2.append(pick)
-            if not exhausted:
-                return cls(degree=degree, seed=seed, images1=images1,
-                           images2=tuple(images2), resamples=attempt)
-        # last resort: powers of the u1 image always centralize it
         rng = random.Random(1_000_003 * seed + 7 * degree)
         images1 = tuple(_random_perm(rng, degree) for _ in range(ctx.rank1))
-        center = _eval_word_perms(images1, ctx.u1, degree)
-        images2 = []
-        for _ in range(ctx.rank2):
-            p = _perm_identity(degree)
-            for _ in range(rng.randrange(degree)):
-                p = _perm_mul(p, center)
-            images2.append(p)
-        return cls(degree=degree, seed=seed, images1=images1,
-                   images2=tuple(images2), resamples=max_resamples + 1)
+        groups = _cycles_by_length(_eval_word_perms(images1, ctx.u1, degree))
+        images2 = tuple(_centralizer_perm(groups, rng) for _ in range(ctx.rank2))
+        return cls(degree=degree, seed=seed, images1=images1, images2=images2)
 
     def apply(self, w: SyllableWord) -> tuple[int, ...]:
         out = _perm_identity(self.degree)

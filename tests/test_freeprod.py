@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,12 +9,16 @@ from commtower import freeprod
 from commtower.freeprod import (
     FiniteQuotientOracle,
     GContext,
+    KBasisSymbol,
     KWord,
     ScanReport,
     SyllableWord,
+    _centralizer_perm,
+    _cycles_by_length,
+    _eval_word_perms,
+    _perm_mul,
     _split_factors,
     cartesian_basis_express,
-    classify_symbol,
     commutation_scan,
     conj_expansion_check,
     conj_support_check,
@@ -23,6 +28,7 @@ from commtower.freeprod import (
     h_map,
     k_image,
     kword_expand,
+    kword_reduce,
     parse_syllable_word,
     random_kernel_word,
     random_syllable_word,
@@ -59,6 +65,10 @@ def ctx_single():
 def ctx_double():
     # u1 = ab, u2 = cd
     return GContext(2, 2, fw("x1 x2"), fw("x1 x2"))
+
+
+def ctx_31():
+    return GContext(3, 1, fw("x1 x3", 3), fw("x1", 1))
 
 
 def sw(text, rank1=2, rank2=2):
@@ -211,16 +221,6 @@ def test_expand_basis_product_signs():
 
 # --- symbol classification and rewriting ----------------------------------------------
 
-def test_classify_kinds():
-    ctx = ctx_single()
-    sym = classify_symbol(ctx, fw("x2"), fw("x2"))
-    assert sym.kind == "A"
-    sym = classify_symbol(ctx, fw("x1 x2"), fw("x2"))
-    assert sym.kind == "B"
-    with pytest.raises(ValueError):
-        classify_symbol(ctx, Word(2), fw("x2"))
-
-
 def test_rewrite_relator_components_vanish():
     ctx = ctx_single()
     assert rewrite_commutator(ctx, fw("x1"), fw("x1")).is_identity
@@ -306,6 +306,40 @@ def test_k_image_invariant_under_relator_insertion():
         plain = sp_multiply(left, right)
         dressed = sp_multiply(left, noise, right)
         assert k_image(ctx, plain) == k_image(ctx, dressed)
+
+
+def _classify_literal(ctx, v1, v2):
+    if ctx.rep1(v1) == v1:
+        return KBasisSymbol(v1, v2, "A")
+    if ctx.rep2(v2) == v2:
+        return KBasisSymbol(v1, v2, "B")
+    raise AssertionError("not a basis symbol")
+
+
+def _k_image_literal(ctx, w):
+    """The image in K with every symbol classified by coset lookups and a
+    symbol word built, inverted and concatenated per commutator."""
+    pieces = []
+    for (w1, w2), sign in cartesian_basis_express(w):
+        s1, s2 = ctx.rep1(w1), ctx.rep2(w2)
+        out = []
+        if not s2.is_identity:
+            out.append((_classify_literal(ctx, w1, s2), 1))
+        if not (s1.is_identity or s2.is_identity):
+            out.append((_classify_literal(ctx, s1, s2), -1))
+        if not s1.is_identity:
+            out.append((_classify_literal(ctx, s1, w2), 1))
+        kw = kword_reduce(out)
+        pieces.append(kw if sign >= 0 else kw.inverse())
+    return kword_reduce(itertools.chain.from_iterable(kw.symbols for kw in pieces))
+
+
+def test_k_image_matches_literal_pipeline():
+    for seed, ctx in enumerate((ctx_single(), ctx_double(), ctx_31())):
+        rng = random.Random(900 + seed)
+        for _ in range(700):
+            w = random_kernel_word(rng, ctx.rank1, ctx.rank2, 40)
+            assert k_image(ctx, w) == _k_image_literal(ctx, w)
 
 
 def test_eq_examples():
@@ -435,15 +469,6 @@ def test_oracle_never_refutes_equalities():
         assert not any(o.distinguishes(x, y) for o in oracles)
 
 
-def test_oracle_budget_exhaustion_resamples_and_stays_sound():
-    ctx = ctx_double()
-    oracle = FiniteQuotientOracle.build(ctx, 8, 4, budget=1)
-    assert oracle.resamples > 0
-    assert oracle.apply(ctx.relator()) == tuple(range(8))
-    again = FiniteQuotientOracle.build(ctx, 8, 4, budget=1)
-    assert oracle == again
-
-
 def test_oracle_is_homomorphism_on_samples():
     ctx = ctx_double()
     oracle = FiniteQuotientOracle.build(ctx, 8, 2)
@@ -472,6 +497,70 @@ def test_oracle_apply_matches_literal_fold():
                     images = oracle.images1 if factor == 1 else oracle.images2
                     out = _perm_mul(out, _eval_word_perms(images, s, degree))
                 assert oracle.apply(x) == out
+
+
+def _u1_image(oracle, ctx):
+    return _eval_word_perms(oracle.images1, ctx.u1, oracle.degree)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 8, 11, 16, 64])
+def test_oracle_images_centralize_u1_image(degree):
+    for ctx in (ctx_double(), ctx_single(), ctx_31()):
+        for seed in range(6):
+            oracle = FiniteQuotientOracle.build(ctx, degree, seed)
+            sigma = _u1_image(oracle, ctx)
+            assert len(oracle.images2) == ctx.rank2
+            for image in oracle.images2:
+                assert sorted(image) == list(range(degree))
+                assert _perm_mul(image, sigma) == _perm_mul(sigma, image)
+            assert oracle.apply(ctx.relator()) == tuple(range(degree))
+
+
+def test_centralizer_draws_cover_exactly_the_centralizer():
+    s4 = list(itertools.permutations(range(4)))
+    # one permutation of each cycle type of S_4: 1^4, 2 1^2, 2^2, 3 1, 4
+    for sigma in ((0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3),
+                  (1, 2, 3, 0)):
+        centralizer = {t for t in s4 if _perm_mul(t, sigma) == _perm_mul(sigma, t)}
+        groups = _cycles_by_length(sigma)
+        drawn = {_centralizer_perm(groups, random.Random(seed))
+                 for seed in range(2000)}
+        assert drawn == centralizer
+
+
+def test_oracle_images_are_not_all_powers_of_u1_image():
+    # an oracle whose factor-two images are all powers of sigma is weak
+    ctx = ctx_double()
+    strong = False
+    for seed in range(3):
+        oracle = FiniteQuotientOracle.build(ctx, 16, seed)
+        sigma = _u1_image(oracle, ctx)
+        powers = {tuple(range(16))}
+        p = sigma
+        while p not in powers:
+            powers.add(p)
+            p = _perm_mul(p, sigma)
+        strong = strong or any(image not in powers for image in oracle.images2)
+    assert strong
+
+
+def test_oracle_build_draws_one_random_perm_per_factor_one_generator(monkeypatch):
+    honest = freeprod._random_perm
+    calls = []
+
+    def counting(rng, m):
+        calls.append(m)
+        return honest(rng, m)
+
+    monkeypatch.setattr(freeprod, "_random_perm", counting)
+    for ctx in (ctx_double(), ctx_31()):
+        calls.clear()
+        oracle = FiniteQuotientOracle.build(ctx, 64, 3)
+        assert calls == [64] * ctx.rank1
+        assert oracle.resamples == 0
+        # factor-one images come first off the seeded stream
+        rng = random.Random(1_000_003 * 3 + 7 * 64)
+        assert oracle.images1 == tuple(honest(rng, 64) for _ in range(ctx.rank1))
 
 
 # --- enumeration and the commutation scan ----------------------------------------------------
@@ -633,8 +722,7 @@ def test_syllable_str_round_trip():
 
 
 def test_kword_validation():
-    ctx = ctx_single()
-    sym = classify_symbol(ctx, fw("x2"), fw("x2"))
+    sym = KBasisSymbol(fw("x2"), fw("x2"), "A")
     with pytest.raises(ValueError):
         KWord(((sym, 1), (sym, -1)))
 

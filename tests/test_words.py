@@ -356,6 +356,15 @@ def test_coset_rep_stable_on_coset(u, word, k):
     assert coset_rep(u, (u ** k) * word) == coset_rep(u, word)
 
 
+@given(words_st(3, 6), words_st(3, 12))
+def test_coset_rep_idempotent(u, word):
+    # the kernel rewriting reads symbol kinds off this
+    if u.is_identity:
+        return
+    rep = coset_rep(u, word)
+    assert coset_rep(u, rep) == rep
+
+
 @given(words_st(2, 4), words_st(2, 6))
 def test_coset_rep_matches_brute_force(u, word):
     if u.is_identity:
