@@ -129,11 +129,10 @@ def _cmd_verify_tower(args: argparse.Namespace) -> dict:
         report = tower.verify_representation(n, order_powers=args.order_powers)
         ok = ok and report.ok
         levels.append(report.to_json_dict())
-    perfectness = []
-    for n in range(0, args.max_level + 1):
-        report = tower.perfectness_witness(n)
-        ok = ok and report.ok
-        perfectness.append(report.to_json_dict())
+    top = tower.perfectness_witness(args.max_level)
+    ok = ok and top.ok
+    perfectness = [top.at_level(n).to_json_dict()
+                   for n in range(args.max_level + 1)]
     # each level report already certified the length law for its n
     lengths = []
     for n, length in enumerate([tower.seed_length(0)] +

@@ -285,6 +285,13 @@ class PerfectnessReport:
     ok: bool
     nonzero_generators: tuple[int, ...] = ()
 
+    def at_level(self, m: int) -> "PerfectnessReport":
+        """The report of level ``m <= n``, read off this one: a generator's
+        block does not depend on the level, so level m keeps the failures
+        among its own generators."""
+        bad = tuple(i for i in self.nonzero_generators if i <= level_rank(m))
+        return PerfectnessReport(n=m, ok=not bad, nonzero_generators=bad)
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -99,8 +99,21 @@ class Word:
             self.rank, tuple([-let for let in reversed(self.letters)]))
 
     def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else self.inverse()
-        return _trusted_word(self.rank, _reduce_letters(base.letters * abs(k)))
+        """``self ** k`` built through the cyclic core.
+
+        With ``base = conj^-1 core conj`` (``base`` is ``self`` or its
+        inverse, by the sign of k) and the core cyclically reduced,
+        ``core^|k|`` is reduced, and so is ``conj^-1 core^|k| conj`` because
+        ``base`` is; the power is their concatenation, with no reduction
+        pass.
+        """
+        if k == 0:
+            return _trusted_word(self.rank, ())
+        base = self if k > 0 else self.inverse()
+        core, conj = cyclic_reduce(base)
+        letters, i = base.letters, len(conj)
+        return _trusted_word(self.rank, letters[:i] + core.letters * abs(k)
+                             + letters[len(letters) - i:])
 
     def __str__(self) -> str:
         return word_str(self)
@@ -252,19 +265,32 @@ def shortlex_key(w: Word) -> tuple:
 def coset_rep(u: Word, w: Word) -> Word:
     """Canonical (shortlex-minimal) representative of the right coset <u>w.
 
-    Every coset element of length <= |w| is of the form u^k w with
-    |k| <= (2|w| + 2|conjugator(u)|) / |core(u)|, so that window holds the
-    global shortlex minimum of the coset.  In particular the representative
-    of <u> itself is the empty word.
+    Write ``u = conj^-1 core conj`` with the core cyclically reduced, so
+    ``u^k w = conj^-1 core^k v`` with ``v = conj w``.  Let p be the length
+    of the agreement of v with ``(core^-1)^oo`` (sign s = +1) or with
+    ``core^oo`` (s = -1); at most one is nonzero, since the core's first
+    letter is not the inverse of its last.  With ``t = s p / |core|``,
 
-    The window is walked on one letter stack holding u^k w reversed (first
-    letter on top): u^(k+1) w is u^k w with the letters of u pushed last to
-    first, each popping the top instead when it cancels it.  Only the lengths
-    are recorded.  Shortlex compares length first, so the minimum is among
-    the shortest candidates, and only those are built and compared.  The
+        |u^k w| = |conj| + |v| - p + |core| |k - t|   for every k != t,
+
+    and at an integer t the word can only be shorter.  Proof sketch:
+    ``core^k`` is reduced and cancels against v by exactly
+    ``min(p, |k| |core|)`` letters when k has sign s, and not at all
+    otherwise.  Unless k = t, what is left of ``core^k v`` is nonempty and
+    begins with the first letter of ``core`` or of ``core^-1`` (either what
+    remains of ``core^k``, or the next period of v).  Neither cancels
+    against the last letter a of ``conj^-1``, because ``conj^-1 core conj``
+    is reduced: the core's first letter does not cancel a, and its last
+    letter is not a, since ``conj`` starts with ``a^-1``.  So the three
+    parts meet without further cancellation.  Only at k = t is ``core^k``
+    used up exactly against v, and only there can the rest of v cancel
+    against ``conj^-1``.
+
+    The minimum length is therefore at the integer nearest t, or at both
+    neighbours when t is a half-integer, and shortlex breaks that tie.  The
     words u^k w are pairwise distinct (free groups are torsion-free), so the
-    minimum is unique and does not depend on the order of the scan.  The cost
-    is O(bound*|u| + |w|) plus O(|w|) per shortest candidate.
+    minimum is unique.  In particular the representative of <u> itself is
+    the empty word.  The cost is O(|u| + |w|).
     """
     if u.rank != w.rank:
         raise RankMismatchError(
@@ -272,19 +298,25 @@ def coset_rep(u: Word, w: Word) -> Word:
     if len(u) == 0:
         raise ValueError("u must be nonempty")
     core, conj = cyclic_reduce(u)
-    bound = (2 * len(w) + 2 * len(conj)) // len(core) + 2
-    stack = list(reversed((u ** (-bound) * w).letters))
-    lengths = [len(stack)]
-    for _ in range(2 * bound):
-        for let in reversed(u.letters):
-            if stack and stack[-1] == -let:
-                stack.pop()
-            else:
-                stack.append(let)
-        lengths.append(len(stack))
-    shortest = min(lengths)
-    return min((u ** k * w for k, n in zip(range(-bound, bound + 1), lengths)
-                if n == shortest), key=shortlex_key)
+    v = (conj * w).letters
+    if v[:1] == core.letters[:1]:
+        s, period = -1, core.letters
+    else:
+        s, period = 1, core.inverse().letters
+    # p: whole periods of the matched prefix by slices, then the rest
+    m, p = len(period), 0
+    while v[p:p + m] == period:
+        p += m
+    for a, b in zip(v[p:], period):
+        if a != b:
+            break
+        p += 1
+    q, r = divmod(p, m)
+    if 2 * r < m:
+        return u ** (s * q) * w
+    if 2 * r > m:
+        return u ** (s * (q + 1)) * w
+    return min(u ** (s * q) * w, u ** (s * (q + 1)) * w, key=shortlex_key)
 
 
 def shift_index(w: Word, offset: int, rank: int) -> Word:

@@ -66,6 +66,41 @@ def test_verify_tower_length_law_mutation(capsys, monkeypatch):
         {"n": 3, "length": None, "ok": False}]
 
 
+def test_verify_tower_walks_the_top_level_blocks_once(capsys, monkeypatch):
+    calls = []
+    honest = tower._abelianizes_to_zero
+
+    def counting(letters):
+        calls.append(letters)
+        return honest(letters)
+
+    monkeypatch.setattr(tower, "_abelianizes_to_zero", counting)
+    code, report = run_json(capsys, ["verify", "tower", "--max-level", "6"])
+    assert code == 0
+    assert len(calls) == 2 ** 6
+    assert report["perfectness"] == [
+        {"n": n, "ok": True, "nonzero_generators": []} for n in range(7)]
+
+
+def test_verify_tower_perfectness_slices_match_each_level(capsys, monkeypatch):
+    honest = tower._blocks
+
+    def skewed(i):
+        # every third generator maps to x(2i-1)^-1 x(2i)^-1 x(2i-1)^2
+        if i % 3:
+            return honest(i)
+        a, b = 2 * i - 1, 2 * i
+        return (-a, -b, a, a), (-a, -a, b, a)
+
+    monkeypatch.setattr(tower, "_blocks", skewed)
+    code, report = run_json(capsys, ["verify", "tower", "--max-level", "5"])
+    assert code == 1
+    assert report["perfectness"] == [
+        tower.perfectness_witness(m).to_json_dict() for m in range(6)]
+    assert [entry["ok"] for entry in report["perfectness"]] == \
+        [True, True, False, False, False, False]
+
+
 def test_verify_kernel(capsys):
     argv = ["verify", "kernel", "--u1", "x1 x2", "--u2", "x1 x2",
             "--samples", "20", "--max-len", "20", "--seed", "3",

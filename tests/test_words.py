@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from commtower import words
 from commtower.words import (
     AlphabetError,
     RankMismatchError,
@@ -24,6 +26,7 @@ from commtower.words import (
     shortlex_key,
     support,
     word_str,
+    _reduce_letters,
 )
 
 
@@ -106,6 +109,18 @@ def test_pow_matches_repeated_multiplication(u, k):
     for _ in range(abs(k)):
         expected = expected * base
     assert u ** k == expected
+
+
+@given(words_st(3, 6), words_st(3, 4), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=-50, max_value=50))
+def test_pow_through_core_matches_reduction(core, g, e, k):
+    # conjugated and proper-power bases, whose powers cancel at every seam
+    power = reduce_word(core.letters * e, 3)
+    for base in (core, conjugate(core, g), power, conjugate(power, g)):
+        inverse = tuple(-let for let in reversed(base.letters))
+        expected = _reduce_letters(
+            (base.letters if k >= 0 else inverse) * abs(k))
+        assert (base ** k).letters == expected
 
 
 # --- commutator --------------------------------------------------------------
@@ -375,6 +390,75 @@ def test_coset_rep_matches_brute_force(u, word):
 def test_coset_rep_matches_literal_window():
     for u, word in _seeded_pairs(5, 2000, 60):
         assert coset_rep(u, word) == _coset_rep_literal(u, word)
+
+
+def _v_law(u, word):
+    # (|conj| + |v| - p, |core|, t) of the coset_rep lemma, with v = conj w
+    # matched letter by letter against (core^-1)^oo, then core^oo
+    core, conj = cyclic_reduce(u)
+    v = (conj * word).letters
+    m = len(core)
+    for s, period in ((1, core.inverse().letters), (-1, core.letters)):
+        p = 0
+        while p < len(v) and v[p] == period[p % m]:
+            p += 1
+        if p:
+            break
+    return len(conj) + len(v) - p, m, Fraction(s * p, m)
+
+
+def _long_prefix_pairs(seed, count):
+    # w = u^k w' with |k| <= 40 and |w'| <= 300, so the matched prefix of
+    # v = conj w spans many periods of the core
+    rng = random.Random(seed)
+    for u, tail in _seeded_pairs(seed, count, 300):
+        yield u, u ** rng.randint(-40, 40) * tail
+
+
+def test_coset_lengths_follow_the_v_law():
+    for u, word in _seeded_pairs(17, 600, 30):
+        base, m, t = _v_law(u, word)
+        core, conj = cyclic_reduce(u)
+        bound = (2 * len(word) + 2 * len(conj)) // len(core) + 2
+        for k in range(-bound, bound + 1):
+            length = len(u ** k * word)
+            if k == t:
+                assert length <= base
+            else:
+                assert length == base + m * abs(k - t)
+
+
+def test_coset_rep_matches_literal_window_on_long_prefixes():
+    ties = 0
+    for u, word in _long_prefix_pairs(29, 100):
+        assert coset_rep(u, word) == _coset_rep_literal(u, word)
+        ties += _v_law(u, word)[2].denominator == 2
+    assert ties > 0
+
+
+def test_coset_rep_builds_at_most_two_candidates(monkeypatch):
+    pows, keys = [], []
+    raw_pow, raw_key = Word.__pow__, words.shortlex_key
+
+    def counting_pow(a, k):
+        pows.append(k)
+        return raw_pow(a, k)
+
+    def counting_key(v):
+        keys.append(v)
+        return raw_key(v)
+
+    monkeypatch.setattr(Word, "__pow__", counting_pow)
+    monkeypatch.setattr(words, "shortlex_key", counting_key)
+    ties = 0
+    for u, word in _seeded_pairs(23, 600, 60):
+        pows.clear()
+        keys.clear()
+        coset_rep(u, word)
+        assert len(pows) <= 2
+        assert len(keys) <= 2
+        ties += len(keys) == 2
+    assert ties > 0
 
 
 def test_coset_rep_multiplies_linearly(monkeypatch):
