@@ -159,9 +159,11 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> dict:
         "pair_len": args.pair_len, "seed": args.seed,
         "oracle_degree": args.oracle_degree, "oracle_seeds": args.oracle_seeds,
     }
-    oracles = [
+    # one homomorphism into Sym(degree)^seeds: it refutes exactly when some
+    # seed's oracle does, in one pass over each word
+    oracle = FiniteQuotientOracle.product([
         FiniteQuotientOracle.build(ctx, args.oracle_degree, args.seed + i)
-        for i in range(args.oracle_seeds)]
+        for i in range(args.oracle_seeds)])
 
     rng = random.Random(args.seed)
     round_trip_failures = 0
@@ -183,10 +185,10 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> dict:
         if not eq_in_G(ctx, comm, expansion):
             rewrite_failures += 1
             continue
-        if any(o.distinguishes(comm, expansion) for o in oracles):
+        if oracle.distinguishes(comm, expansion):
             oracle_refutations += 1
         try:
-            relation_check(ctx, w1, w2, oracles)
+            relation_check(ctx, w1, w2, [oracle])
         except freeprod.VerificationError:
             relation_failures += 1
 
@@ -350,10 +352,20 @@ _CAPS = {
     # (16: 3.1-4.2 s, 73 MB; 18: 16.2 s, 244 MB; CPython 3.11, 2-core VM);
     # the sparse images grow x2 per level in time and memory
     "max_level": 17,
-    # An oracle build takes about 0.25 ms at degree 64 (0.1 ms at 8); the
-    # oracles' apply costs O(degree) per letter, so verify kernel --samples
-    # 200 --max-len 24 with 20 oracle seeds takes 1.5-1.7 s at 64 (0.5 s at 8)
+    # An oracle build takes about 0.12 ms at degree 64 (0.05 ms at 8).  The
+    # seeds are applied as one product permutation of degree x seeds points,
+    # one C-level tuple gather per letter, so verify kernel --samples 200
+    # --max-len 24 with 20 oracle seeds takes 0.43-0.47 s at 64 (0.16-0.18 s
+    # at 8), at 18 MB peak RSS
     "oracle_degree": 64,
+    # the product oracle grows linearly in the seeds: verify kernel --samples
+    # 200 --max-len 24 --oracle-degree 64 with 200 seeds takes 2.6-3.4 s at
+    # 22 MB peak RSS (100: 1.5 s, 19 MB; 500: 9.0 s, 31 MB)
+    "oracle_seeds": 200,
+    # each rewritten commutator pair draws two words of up to --pair-len
+    # letters: verify kernel --samples 200 --max-len 24 --pair-len 1024
+    # takes 4.6-5.7 s at 22 MB peak RSS (256: 1.7 s, 18 MB)
+    "pair_len": 1024,
 }
 
 # Most words the exhaustive phase of `scan commute` may list: the 22,409 of

@@ -30,6 +30,7 @@ into syllables.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -524,11 +525,12 @@ def _eval_word_perms(images: Sequence[tuple[int, ...]], w: Word,
     return out
 
 
-def _letter_table(images: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
-    """Signed letter -> its permutation, inverse letters included."""
+def _letter_table(images: Sequence[tuple[int, ...]]) -> dict[int, operator.itemgetter]:
+    """Signed letter -> ``itemgetter(*p)`` of its permutation p, inverse
+    letters included: ``itemgetter(*q)(out) == _perm_mul(q, out)``."""
     table = dict(enumerate(images, 1))
     table.update({-i: _perm_inv(p) for i, p in table.items()})
-    return table
+    return {let: operator.itemgetter(*p) for let, p in table.items()}
 
 
 def _cycles_by_length(p: tuple[int, ...]) -> dict[int, list[list[int]]]:
@@ -581,31 +583,68 @@ class FiniteQuotientOracle:
     images2: tuple[tuple[int, ...], ...]
     # always 0: read only by the benchmark tracer (perfbench/spans.py)
     resamples: int = 0
-    _letter_images: tuple[dict[int, tuple[int, ...]], ...] = field(
+    _letter_getters: tuple[dict[int, operator.itemgetter], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_letter_images", (
+        if self.degree < 2:
+            # itemgetter of one point returns that point, not a 1-tuple
+            raise ValueError("oracle degree must be at least 2")
+        object.__setattr__(self, "_letter_getters", (
             _letter_table(self.images1), _letter_table(self.images2)))
 
     @classmethod
     def build(cls, ctx: GContext, degree: int, seed: int,
               # ignored: read only by the benchmark tracer (perfbench/spans.py)
               max_resamples: int = 8) -> "FiniteQuotientOracle":
-        if degree < 2:
-            raise ValueError("oracle degree must be at least 2")
         rng = random.Random(1_000_003 * seed + 7 * degree)
         images1 = tuple(_random_perm(rng, degree) for _ in range(ctx.rank1))
         groups = _cycles_by_length(_eval_word_perms(images1, ctx.u1, degree))
         images2 = tuple(_centralizer_perm(groups, rng) for _ in range(ctx.rank2))
         return cls(degree=degree, seed=seed, images1=images1, images2=images2)
 
+    @classmethod
+    def product(cls, oracles: Sequence["FiniteQuotientOracle"]
+                ) -> "FiniteQuotientOracle":
+        """The direct product of ``oracles``: one homomorphism into
+        Sym(d_1) x ... x Sym(d_k), acting on the disjoint union of their
+        points, where factor j's point i becomes i + d_1 + ... + d_(j-1).
+
+        Its images are the shifted factor images concatenated per generator,
+        so its ``apply`` is the concatenation of the shifted factor applies,
+        and it distinguishes x from y exactly when some factor does.  Its
+        ``seed`` is the first factor's seed.  The factors must share their
+        ranks.
+        """
+        if not oracles:
+            raise ValueError("a product needs at least one oracle")
+        offsets = tuple(itertools.accumulate(
+            (o.degree for o in oracles), initial=0))
+
+        def joined(factor_images):
+            return tuple(
+                tuple(point + offset
+                      for perm, offset in zip(perms, offsets) for point in perm)
+                for perms in zip(*factor_images, strict=True))
+
+        return cls(degree=offsets[-1], seed=oracles[0].seed,
+                   images1=joined([o.images1 for o in oracles]),
+                   images2=joined([o.images2 for o in oracles]))
+
     def apply(self, w: SyllableWord) -> tuple[int, ...]:
+        """The image of ``w``, as the tuple of the images of 0..degree-1.
+
+        The letters are read right to left, each one a single C-level
+        ``itemgetter`` call: ``getter_q(out)[i] = out[q[i]]``, so after the
+        letters p_1 ... p_n the tuple is ``i -> p_n[...p_1[i]]``, the same as
+        folding ``_perm_mul`` left to right.
+        """
         out = _perm_identity(self.degree)
-        for factor, s in w.syllables:
-            table = self._letter_images[factor - 1]
-            for let in s.letters:
-                out = _perm_mul(out, table[let])
+        tables = self._letter_getters
+        for factor, s in reversed(w.syllables):
+            table = tables[factor - 1]
+            for let in reversed(s.letters):
+                out = table[let](out)
         return out
 
     def distinguishes(self, x: SyllableWord, y: SyllableWord) -> bool:

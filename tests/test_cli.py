@@ -1,7 +1,20 @@
 import json
+import random
 
-from commtower import tower
+from commtower import freeprod, tower
 from commtower.cli import main
+from commtower.freeprod import (
+    FiniteQuotientOracle,
+    GContext,
+    _eval_word_perms,
+    _perm_mul,
+    eq_in_G,
+    kword_expand,
+    relation_check,
+    rewrite_commutator,
+    sp_commutator,
+)
+from commtower.words import parse_word, random_reduced_word
 
 
 def run(capsys, argv):
@@ -209,6 +222,96 @@ def test_usage_errors(capsys):
                      "--samples", "2", "--max-len", "8", "--seed", "1",
                      "--oracle-degree", degree]) == 2
         assert "at most 64" in capsys.readouterr().err
+    for flag, cap in (("--oracle-seeds", 200), ("--pair-len", 1024)):
+        for value in (cap + 1, 1_000_000_000):         # nothing is drawn
+            assert main(["verify", "kernel", "--u1", "x1", "--u2", "x1",
+                         "--samples", "2", "--max-len", "8", "--seed", "1",
+                         flag, str(value)]) == 2
+            err = capsys.readouterr().err
+            assert f"{flag} must be at most {cap}, got {value}" in err
+
+
+def _build_with_one_free_seed(bad_seed):
+    """``FiniteQuotientOracle.build``, except that seed ``bad_seed`` gets
+    factor-two images that do not all centralize the image of u1: that
+    oracle is no homomorphism of G, so it refutes identities of G."""
+    honest = FiniteQuotientOracle.build
+
+    def build(cls, ctx, degree, seed, max_resamples=8):
+        oracle = honest(ctx, degree, seed)
+        if seed != bad_seed:
+            return oracle
+        sigma = _eval_word_perms(oracle.images1, ctx.u1, degree)
+        rng = random.Random(seed)
+        while True:
+            images2 = tuple(freeprod._random_perm(rng, degree)
+                            for _ in range(ctx.rank2))
+            if any(_perm_mul(p, sigma) != _perm_mul(sigma, p) for p in images2):
+                return cls(degree, seed, oracle.images1, images2)
+    return classmethod(build)
+
+
+def _per_oracle_counts(ctx, oracles, samples, max_len, seed, pair_len=6):
+    """verify kernel's oracle refutations and imposed-relation failures,
+    with every oracle applied on its own (the literal reference)."""
+    rng = random.Random(seed)
+    for _ in range(samples):                           # the round-trip draws
+        freeprod.random_kernel_word(rng, ctx.rank1, ctx.rank2, max_len)
+    refutations = failures = 0
+    for _ in range(samples):
+        w1 = random_reduced_word(rng, ctx.rank1, rng.randint(1, pair_len))
+        w2 = random_reduced_word(rng, ctx.rank2, rng.randint(1, pair_len))
+        comm = sp_commutator(ctx.embed(1, w1), ctx.embed(2, w2))
+        expansion = kword_expand(
+            rewrite_commutator(ctx, w1, w2), ctx.rank1, ctx.rank2)
+        if not eq_in_G(ctx, comm, expansion):
+            continue
+        if any(o.distinguishes(comm, expansion) for o in oracles):
+            refutations += 1
+        try:
+            relation_check(ctx, w1, w2, oracles)
+        except freeprod.VerificationError:
+            failures += 1
+    return refutations, failures
+
+
+def test_verify_kernel_counts_forced_refutations_like_each_oracle(
+        monkeypatch, capsys):
+    for u, seed in (("x1 x2", 7), ("x1", 12)):
+        monkeypatch.setattr(FiniteQuotientOracle, "build",
+                            _build_with_one_free_seed(seed + 2))
+        code, report = run_json(capsys, [
+            "verify", "kernel", "--u1", u, "--u2", u, "--samples", "40",
+            "--max-len", "16", "--seed", str(seed), "--oracle-seeds", "5"])
+        ctx = GContext(2, 2, parse_word(u, 2), parse_word(u, 2))
+        oracles = [FiniteQuotientOracle.build(ctx, 8, seed + i)
+                   for i in range(5)]
+        refutations, failures = _per_oracle_counts(ctx, oracles, 40, 16, seed)
+        assert refutations > 0 and failures > 0
+        assert code == 1
+        assert report["oracle"]["refutations"] == refutations
+        assert report["imposed_relation"]["failures"] == failures
+
+
+def test_verify_kernel_applies_one_oracle_per_word(monkeypatch, capsys):
+    degrees = []
+    honest = FiniteQuotientOracle.apply
+
+    def counting(self, w):
+        degrees.append(self.degree)
+        return honest(self, w)
+
+    monkeypatch.setattr(FiniteQuotientOracle, "apply", counting)
+    for seeds in (1, 5, 20):
+        degrees.clear()
+        code, report = run_json(capsys, [
+            "verify", "kernel", "--u1", "x1 x2", "--u2", "x1 x2",
+            "--samples", "20", "--max-len", "16", "--seed", "3",
+            "--oracle-seeds", str(seeds)])
+        assert code == 0 and report["oracle"]["refutations"] == 0
+        # two words for the refutation check, two for the imposed relation
+        assert 0 < len(degrees) <= 4 * 20
+        assert set(degrees) == {8 * seeds}
 
 
 def test_text_format_has_verdict_line(capsys):

@@ -563,6 +563,81 @@ def test_oracle_build_draws_one_random_perm_per_factor_one_generator(monkeypatch
         assert oracle.images1 == tuple(honest(rng, 64) for _ in range(ctx.rank1))
 
 
+def _rank_context(rank1, rank2):
+    return GContext(rank1, rank2, fw("x1", rank1), fw("x1", rank2))
+
+
+def _free_oracle(rng, degree, seed, rank1, rank2):
+    """An oracle whose factor-two images are uniform permutations: usually no
+    homomorphism of G, so it refutes equalities that hold in G."""
+    def perms(n):
+        return tuple(freeprod._random_perm(rng, degree) for _ in range(n))
+    return FiniteQuotientOracle(degree, seed, perms(rank1), perms(rank2))
+
+
+def _shifted_concat(oracles, w):
+    out, offset = [], 0
+    for o in oracles:
+        out += [point + offset for point in o.apply(w)]
+        offset += o.degree
+    return tuple(out)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_product_apply_is_shifted_concatenation(seed):
+    rng = random.Random(seed)
+    rank1, rank2 = rng.randint(1, 3), rng.randint(1, 3)
+    ctx = _rank_context(rank1, rank2)
+    oracles = [FiniteQuotientOracle.build(ctx, rng.randint(2, 11), seed + i)
+               if rng.random() < 0.5 else
+               _free_oracle(rng, rng.randint(2, 11), seed + i, rank1, rank2)
+               for i in range(rng.randint(1, 5))]
+    product = FiniteQuotientOracle.product(oracles)
+    assert product.degree == sum(o.degree for o in oracles)
+    assert product.seed == oracles[0].seed
+    for _ in range(5):
+        x = random_syllable_word(rng, rank1, rank2, 16)
+        assert product.apply(x) == _shifted_concat(oracles, x)
+
+
+def test_product_distinguishes_exactly_when_some_factor_does():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    equal_in_G_refuted = 0
+    for trial in range(300):
+        rank1, rank2 = rng.randint(1, 3), rng.randint(1, 3)
+        ctx = _rank_context(rank1, rank2)
+        oracles = [FiniteQuotientOracle.build(ctx, rng.randint(2, 11), trial)
+                   for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            oracles.insert(rng.randrange(len(oracles) + 1), _free_oracle(
+                rng, rng.randint(2, 11), trial, rank1, rank2))
+        product = FiniteQuotientOracle.product(oracles)
+        x = random_syllable_word(rng, rank1, rank2, 8)
+        noise = sp_conjugate(ctx.relator(),
+                             random_syllable_word(rng, rank1, rank2, 4))
+        y = sp_multiply(x, noise)                      # equal to x in G
+        z = random_syllable_word(rng, rank1, rank2, 8)
+        for a, b in ((x, y), (x, z), (x, x)):
+            refuted = any(o.distinguishes(a, b) for o in oracles)
+            assert product.distinguishes(a, b) == refuted
+            seen[refuted] += 1
+            equal_in_G_refuted += refuted and b is y
+    assert seen[True] > 50 and seen[False] > 50
+    assert equal_in_G_refuted > 10                     # only a free factor can
+
+
+def test_product_rejects_no_factors_and_mixed_ranks():
+    with pytest.raises(ValueError):
+        FiniteQuotientOracle.product([])
+    with pytest.raises(ValueError):
+        FiniteQuotientOracle.product([
+            FiniteQuotientOracle.build(ctx_double(), 4, 1),
+            FiniteQuotientOracle.build(ctx_31(), 4, 1)])
+    with pytest.raises(ValueError):
+        FiniteQuotientOracle(1, 0, ((0,),), ((0,),))
+
+
 # --- enumeration and the commutation scan ----------------------------------------------------
 
 def test_enumerate_counts_rank22():

@@ -73,3 +73,24 @@ def test_tower_report_at_level_6_is_byte_identical(tmp_path, capsys):
 def test_tower_report_at_level_8_is_byte_identical(tmp_path, capsys):
     for order_powers, digest in TOWER_LEVEL8_DIGESTS.items():
         assert _tower_digest(tmp_path, capsys, 8, order_powers) == digest
+
+
+# sha256 of `verify kernel --u1 "x1 x2" --u2 "x1 x2" --samples 100 --max-len 24
+# --seed 7 --format json` at other oracle degrees and seed counts, as written
+# when every oracle was applied on its own; the battery above uses 20 seeds
+# at degree 8
+KERNEL_ORACLE_DIGESTS = {
+    (64, 7): "60131bf5782746cc9c622578c61c8b4de6715e6fe7b5fb718ccfa64982b36304",
+    (3, 1): "8ee1bbe0ca03000160134106476c31edbfacebd0aa4e090e516dac9e04ddb35f",
+}
+
+
+def test_kernel_report_at_other_oracle_degrees_is_byte_identical(tmp_path, capsys):
+    for (degree, seeds), digest in KERNEL_ORACLE_DIGESTS.items():
+        out = tmp_path / f"kernel_{degree}_{seeds}.json"
+        assert main(["verify", "kernel", "--u1", "x1 x2", "--u2", "x1 x2",
+                     "--samples", "100", "--max-len", "24", "--seed", "7",
+                     "--oracle-degree", str(degree), "--oracle-seeds", str(seeds),
+                     "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
