@@ -366,12 +366,26 @@ _CAPS = {
     # letters: verify kernel --samples 200 --max-len 24 --pair-len 1024
     # takes 4.6-5.7 s at 22 MB peak RSS (256: 1.7 s, 18 MB)
     "pair_len": 1024,
+    # memory grows linearly in the ranks, through the oracle images on every
+    # generator: verify kernel --rank1 32 --rank2 32 --samples 200 --max-len
+    # 24 --oracle-degree 64 --oracle-seeds 200 takes 3.7-4.2 s at 95 MB peak
+    # RSS (64: 4.7 s, 173 MB; 128: 6.4 s, 330 MB), and 0.29 s at 18 MB with
+    # the default oracle; scan commute and eq stay under 0.1 s and 18 MB at 64
+    "rank1": 32,
+    "rank2": 32,
 }
+
+# Most letters in each of `eq --lhs` and `--rhs`.  The kernel image of a
+# product grows about as the square of its length: --lhs "a c a c ..." with
+# --rhs "c a c a ..." at 4096 letters each takes 1.1 s at 117 MB peak RSS
+# (2048: 0.35 s, 43 MB; 8192: 4.4 s, 411 MB).
+_EQ_LETTERS_CAP = 4096
 
 # Most words the exhaustive phase of `scan commute` may list: the 22,409 of
 # --max-len 5 at rank 2+2, with the scan's index dict and inverse list, peak
-# at 20 MB (tracemalloc, CPython 3.11), about 0.9 KB each and x7 per step
-# there; the cap still admits --max-len 6.
+# at 5.4 MB (tracemalloc, CPython 3.11), about 0.24 KB each and x7 per step
+# there; the cap still admits --max-len 6 (156,865 words, 33 MB traced; the
+# whole scan at --budget 0 takes 7.5 s at 54 MB peak RSS).
 _SCAN_WORDS_CAP = 200_000
 
 
@@ -399,6 +413,12 @@ def _check_bounds(args: argparse.Namespace) -> Optional[str]:
                         f"{_SCAN_WORDS_CAP} words at rank "
                         f"{args.rank1}+{args.rank2}")
             grade *= letters - 1
+    if args.command == "eq":
+        for flag in ("lhs", "rhs"):
+            letters = len(getattr(args, flag).replace("|", " ").split())
+            if letters > _EQ_LETTERS_CAP:
+                return (f"--{flag} must have at most {_EQ_LETTERS_CAP} "
+                        f"letters, got {letters}")
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 0:
         return f"--budget must be nonnegative, got {budget}"

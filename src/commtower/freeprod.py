@@ -1,9 +1,11 @@
 """Free products of two free groups and the commuting-relator quotient.
 
-Elements of ``F1 * F2`` are syllable words: alternating nonempty reduced
-words drawn from the two factors.  Quotienting by the normal closure of
-``[u1, u2]`` (one designated word per factor, neither a proper power) gives
-the group G studied here.
+``F1 * F2`` is free on the disjoint union of the two bases, so its syllable
+normal forms are exactly its reduced words over those rank1 + rank2 letters
+(Lyndon–Schupp IV.1): an element is one freely reduced letter tuple, and its
+syllables are the runs of one factor's letters.  Quotienting by the normal
+closure of ``[u1, u2]`` (one designated word per factor, neither a proper
+power) gives the group G studied here.
 
 Equality in G is decided through the kernel K of the projection
 ``G -> F1 (+) F2``:
@@ -22,9 +24,7 @@ Soundness of the decision needs nothing beyond the rewriting identities,
 which hold in G outright; completeness rests on K being free on the stated
 symbols.  A seeded homomorphism onto a symmetric group is kept alongside as
 an independent refutation oracle, and :func:`commutation_scan` uses the
-whole apparatus to hunt for pairs that commute with their commutator.  Its
-words are those of :mod:`.words` over the letters of both factors, split
-into syllables.
+whole apparatus to hunt for pairs that commute with their commutator.
 """
 
 from __future__ import annotations
@@ -57,35 +57,57 @@ class VerificationError(AssertionError):
 # syllable words
 
 
-@dataclass(frozen=True)
 class SyllableWord:
-    """Normal form of an element of F1 * F2: alternating nonempty syllables."""
+    """An element of F1 * F2 as one freely reduced letter tuple.
 
-    rank1: int
-    rank2: int
-    syllables: tuple[tuple[int, Word], ...] = ()
+    Factor-one generator j is the letter j, factor-two generator j the letter
+    ``j + rank1``, and ``syllables`` reads the runs of one factor's letters
+    back as ``(factor, Word)`` pairs.  The constructor takes syllables and
+    checks that they are tagged, ranked, nonempty and alternating.
+    """
 
-    def __post_init__(self) -> None:
-        prev = None
-        for factor, w in self.syllables:
-            if factor not in (1, 2):
-                raise ValueError(f"factor tag must be 1 or 2, got {factor}")
-            if w.is_identity:
-                raise ValueError("syllables must be nonempty")
-            expected = self.rank1 if factor == 1 else self.rank2
-            if w.rank != expected:
-                raise RankMismatchError(
-                    f"factor-{factor} syllable has rank {w.rank}, expected {expected}")
-            if prev == factor:
-                raise ValueError("adjacent syllables share a factor")
-            prev = factor
+    __slots__ = ("rank1", "rank2", "letters")
+
+    def __init__(self, rank1: int, rank2: int,
+                 syllables: Iterable[tuple[int, Word]] = ()) -> None:
+        syllables = tuple(syllables)
+        if any(w.is_identity for _, w in syllables) or any(
+                f == g for (f, _), (g, _) in zip(syllables, syllables[1:])):
+            raise ValueError("syllables must be nonempty and alternate")
+        # so sp_reduce only checks their tags and ranks, and cancels nothing
+        _setattr(self, "rank1", rank1)
+        _setattr(self, "rank2", rank2)
+        _setattr(self, "letters", sp_reduce(rank1, rank2, syllables).letters)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SyllableWord is immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _sp, (self.rank1, self.rank2, self.letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not SyllableWord:
+            return NotImplemented
+        return (self.letters == other.letters and self.rank1 == other.rank1
+                and self.rank2 == other.rank2)
+
+    def __hash__(self) -> int:
+        return hash((self.rank1, self.rank2, self.letters))
 
     def __len__(self) -> int:
-        return sum(len(w) for _, w in self.syllables)
+        return len(self.letters)
 
     @property
     def is_identity(self) -> bool:
-        return not self.syllables
+        return not self.letters
+
+    @property
+    def syllables(self) -> tuple[tuple[int, Word], ...]:
+        ranks = (None, self.rank1, self.rank2)
+        return tuple([(factor, _trusted_word(ranks[factor], run))
+                      for factor, run in _runs(self)])
 
     def __mul__(self, other: "SyllableWord") -> "SyllableWord":
         return sp_multiply(self, other)
@@ -104,71 +126,76 @@ _new = object.__new__
 _setattr = object.__setattr__
 
 
-def _trusted_syllables(rank1: int, rank2: int,
-                       syllables: tuple[tuple[int, Word], ...]) -> SyllableWord:
-    """A :class:`SyllableWord` from syllables already tagged and ranked for
-    their factor, nonempty and alternating; skips the checks of
-    ``SyllableWord.__post_init__``."""
+def _sp(rank1: int, rank2: int, letters: tuple[int, ...]) -> SyllableWord:
+    """A :class:`SyllableWord` from freely reduced letters, unchecked."""
     w = _new(SyllableWord)
     _setattr(w, "rank1", rank1)
     _setattr(w, "rank2", rank2)
-    _setattr(w, "syllables", syllables)
+    _setattr(w, "letters", letters)
     return w
 
 
+def _runs(w: SyllableWord) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(factor, letters within that factor)`` for each syllable of ``w``."""
+    rank1 = w.rank1
+    for one, run in itertools.groupby(w.letters, lambda let: -rank1 <= let <= rank1):
+        yield (1, tuple(run)) if one else (2, tuple(
+            [let - rank1 if let > 0 else let + rank1 for let in run]))
+
+
+def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
+    return tuple([-let for let in reversed(letters)])
+
+
+def _push(stack: list[int], letters: Sequence[int]) -> None:
+    """Multiply the reduced ``stack`` by the reduced ``letters`` in place."""
+    i, n = 0, len(letters)
+    while i < n and stack and stack[-1] == -letters[i]:
+        stack.pop()
+        i += 1
+    stack.extend(letters[i:])
+
+
 def sp_empty(rank1: int, rank2: int) -> SyllableWord:
-    return SyllableWord(rank1, rank2)
+    return _sp(rank1, rank2, ())
 
 
 def sp_reduce(rank1: int, rank2: int,
               raw: Iterable[tuple[int, Word]]) -> SyllableWord:
-    """Merge adjacent same-factor syllables and drop the empty ones.
-
-    Each raw syllable's factor tag and rank are checked; the merged result
-    alternates and has no empty syllable by construction.
-    """
+    """Multiply out raw syllables, which may be empty or share a factor with
+    their neighbour: one free reduction of their letters, once each raw
+    syllable's factor tag and rank are checked."""
     ranks = (None, rank1, rank2)
-    stack: list[tuple[int, Word]] = []
+    out: list[int] = []
     for factor, w in raw:
         if factor != 1 and factor != 2:
             raise ValueError(f"factor tag must be 1 or 2, got {factor}")
         if w.rank != ranks[factor]:
-            raise RankMismatchError(
-                f"factor-{factor} syllable has rank {w.rank}, "
-                f"expected {ranks[factor]}")
-        if not w.letters:
-            continue
-        if stack and stack[-1][0] == factor:
-            merged = stack.pop()[1] * w
-            if merged.letters:
-                stack.append((factor, merged))
-        else:
-            stack.append((factor, w))
-    return _trusted_syllables(rank1, rank2, tuple(stack))
-
-
-def sp_from_word(rank1: int, rank2: int, factor: int, w: Word) -> SyllableWord:
-    """Embed a single-factor word."""
-    return sp_reduce(rank1, rank2, [(factor, w)])
-
-
-def _check_same_ranks(words: Sequence[SyllableWord]) -> tuple[int, int]:
-    ranks = {(w.rank1, w.rank2) for w in words}
-    if len(ranks) > 1:
-        raise RankMismatchError(f"mixed free-product ranks: {sorted(ranks)}")
-    return words[0].rank1, words[0].rank2
+            raise RankMismatchError(f"factor-{factor} syllable has rank "
+                                    f"{w.rank}, expected {ranks[factor]}")
+        _push(out, w.letters if factor == 1 else
+              [let + rank1 if let > 0 else let - rank1 for let in w.letters])
+    return _sp(rank1, rank2, tuple(out))
 
 
 def sp_multiply(*ws: SyllableWord) -> SyllableWord:
-    rank1, rank2 = _check_same_ranks(ws)
-    return sp_reduce(rank1, rank2,
-                     itertools.chain.from_iterable(w.syllables for w in ws))
+    """The product, cancelling at each junction only."""
+    rank1, rank2, out = ws[0].rank1, ws[0].rank2, ws[0].letters
+    for w in ws[1:]:
+        if w.rank1 != rank1 or w.rank2 != rank2:
+            raise RankMismatchError(
+                f"mixed free-product ranks: {(rank1, rank2)} and "
+                f"{(w.rank1, w.rank2)}")
+        b = w.letters
+        n, i = len(out), 0
+        while i < n and i < len(b) and out[n - 1 - i] == -b[i]:
+            i += 1
+        out = out[:n - i] + b[i:] if i else out + b
+    return _sp(rank1, rank2, out)
 
 
 def sp_invert(w: SyllableWord) -> SyllableWord:
-    return _trusted_syllables(
-        w.rank1, w.rank2,
-        tuple([(f, s.inverse()) for f, s in reversed(w.syllables)]))
+    return _sp(w.rank1, w.rank2, _inverse(w.letters))
 
 
 def sp_commutator(x: SyllableWord, y: SyllableWord) -> SyllableWord:
@@ -181,15 +208,17 @@ def sp_conjugate(w: SyllableWord, g: SyllableWord) -> SyllableWord:
 
 
 def h_map(w: SyllableWord) -> tuple[Word, Word]:
-    """Project onto F1 (+) F2: multiply out each factor's syllables in order."""
-    p1 = _trusted_word(w.rank1, ())
-    p2 = _trusted_word(w.rank2, ())
-    for factor, s in w.syllables:
-        if factor == 1:
-            p1 = p1 * s
+    """Project onto F1 (+) F2: each factor's letters in order, freely reduced."""
+    rank1 = w.rank1
+    p1, p2 = [], []
+    for let in w.letters:
+        stack = p1 if -rank1 <= let <= rank1 else p2
+        if stack and stack[-1] == -let:
+            stack.pop()
         else:
-            p2 = p2 * s
-    return p1, p2
+            stack.append(let)
+    return _trusted_word(rank1, tuple(p1)), _trusted_word(w.rank2, tuple(
+        [let - rank1 if let > 0 else let + rank1 for let in p2]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +265,7 @@ class GContext:
         return sp_empty(self.rank1, self.rank2)
 
     def embed(self, factor: int, w: Word) -> SyllableWord:
-        return sp_from_word(self.rank1, self.rank2, factor, w)
+        return sp_reduce(self.rank1, self.rank2, [(factor, w)])
 
     def relator(self) -> SyllableWord:
         return sp_commutator(self.embed(1, self.u1), self.embed(2, self.u2))
@@ -270,22 +299,20 @@ def cartesian_basis_express(
     are trivial exactly when ``w`` is in the kernel, and then the returned
     factors multiply out to ``w`` exactly (in F1 * F2).
     """
-    p = _trusted_word(w.rank1, ())
-    q = _trusted_word(w.rank2, ())
+    rank1, rank2 = w.rank1, w.rank2
+    p, q = [], []
     emitted: list[tuple[tuple[Word, Word], int]] = []
-    for factor, s in w.syllables:
-        if factor == 2:
-            q = q * s
+    for factor, s in _runs(w):
+        if factor == 2 or not q:
+            _push(q if factor == 2 else p, s)
             continue
-        ps = p * s
-        if not q.is_identity:
-            q_inv = q.inverse()
-            if not p.is_identity:
-                emitted.append(((p.inverse(), q_inv), 1))
-            if not ps.is_identity:
-                emitted.append(((ps.inverse(), q_inv), -1))
-        p = ps
-    if not (p.is_identity and q.is_identity):
+        q_inv = _trusted_word(rank2, _inverse(q))
+        if p:
+            emitted.append(((_trusted_word(rank1, _inverse(p)), q_inv), 1))
+        _push(p, s)
+        if p:
+            emitted.append(((_trusted_word(rank1, _inverse(p)), q_inv), -1))
+    if p or q:
         raise ValueError("word is not in the kernel of the direct-sum projection")
     return tuple(emitted)
 
@@ -296,10 +323,8 @@ def expand_basis_product(
     """Multiply out a list of ((v1, v2), sign) commutator factors."""
     parts: list[tuple[int, Word]] = []
     for (v1, v2), sign in factors:
-        if sign >= 0:
-            parts.extend([(1, v1.inverse()), (2, v2.inverse()), (1, v1), (2, v2)])
-        else:
-            parts.extend([(2, v2.inverse()), (1, v1.inverse()), (2, v2), (1, v1)])
+        pair = [(1, v1), (2, v2)] if sign >= 0 else [(2, v2), (1, v1)]
+        parts += [(f, v.inverse()) for f, v in pair] + pair
     return sp_reduce(rank1, rank2, parts)
 
 
@@ -309,7 +334,9 @@ class KBasisSymbol:
 
     Kind "A": v1 is the canonical representative of a nontrivial <u1>-coset
     and v2 is any nontrivial word; kind "B" is the mirror image.  A pair
-    qualifying for both is classified "A".
+    qualifying for both is classified "A".  So in one context the kind
+    follows from (v1, v2): it is "A" iff v1 is its own representative.
+    Symbol words compare symbols by the key ``(v1.letters, v2.letters)``.
     """
 
     v1: Word
@@ -325,28 +352,28 @@ class KWord:
 
     def __post_init__(self) -> None:
         for (s, e), (t, f) in zip(self.symbols, self.symbols[1:]):
-            if s == t and e == -f:
+            if e == -f and s.v1.letters == t.v1.letters \
+                    and s.v2.letters == t.v2.letters:
                 raise ValueError("symbol word is not freely reduced")
 
     @property
     def is_identity(self) -> bool:
         return not self.symbols
 
-    def __len__(self) -> int:
-        return len(self.symbols)
-
     def inverse(self) -> "KWord":
         return KWord(tuple((s, -e) for s, e in reversed(self.symbols)))
 
 
 def kword_reduce(items: Iterable[tuple[KBasisSymbol, int]]) -> KWord:
-    stack: list[tuple[KBasisSymbol, int]] = []
+    """Free reduction over the symbols of one context, by symbol key."""
+    stack: list[tuple[tuple, KBasisSymbol, int]] = []
     for sym, e in items:
-        if stack and stack[-1][0] == sym and stack[-1][1] == -e:
+        key = (sym.v1.letters, sym.v2.letters)
+        if stack and stack[-1][2] == -e and stack[-1][0] == key:
             stack.pop()
         else:
-            stack.append((sym, e))
-    return KWord(tuple(stack))
+            stack.append((key, sym, e))
+    return KWord(tuple([(sym, e) for _, sym, e in stack]))
 
 
 def rewrite_commutator(ctx: GContext, w1: Word, w2: Word) -> KWord:
@@ -363,7 +390,8 @@ def rewrite_commutator(ctx: GContext, w1: Word, w2: Word) -> KWord:
     s2 = ctx.rep2(w2)
     out: list[tuple[KBasisSymbol, int]] = []
     if not s2.is_identity:
-        out.append((KBasisSymbol(w1, s2, "A" if s1 == w1 else "B"), 1))
+        out.append((KBasisSymbol(
+            w1, s2, "A" if s1.letters == w1.letters else "B"), 1))
     if not s1.is_identity:
         if not s2.is_identity:
             out.append((KBasisSymbol(s1, s2, "A"), -1))  # [s2, s1] = [s1, s2]^-1
@@ -463,15 +491,15 @@ def conj_expansion_check(rank1: int, rank2: int, x1: Word, x2: Word,
             raise ValueError("commutator factors need nontrivial components")
     a = x1 ** n
     b = x2 ** n
-    sp_a = sp_from_word(rank1, rank2, 1, a)
-    sp_b = sp_from_word(rank1, rank2, 2, b)
+    sp_a = sp_reduce(rank1, rank2, [(1, a)])
+    sp_b = sp_reduce(rank1, rank2, [(2, b)])
     middle = expand_basis_product(rank1, rank2, factors)
     lhs = sp_multiply(sp_invert(sp_b), sp_invert(sp_a), middle, sp_a, sp_b)
 
     rhs = sp_empty(rank1, rank2)
     for (c, d), delta in factors:
-        ca = sp_from_word(rank1, rank2, 1, c * a)
-        db = sp_from_word(rank1, rank2, 2, d * b)
+        ca = sp_reduce(rank1, rank2, [(1, c * a)])
+        db = sp_reduce(rank1, rank2, [(2, d * b)])
         block = sp_multiply(
             sp_commutator(sp_b, ca),
             sp_commutator(ca, db),
@@ -494,10 +522,6 @@ def conj_support_check(w: Word, g: Word) -> bool:
 # finite-quotient refutation oracle
 
 
-def _perm_identity(m: int) -> tuple[int, ...]:
-    return tuple(range(m))
-
-
 def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # apply p first, then q
     return tuple(q[i] for i in p)
@@ -518,19 +542,11 @@ def _random_perm(rng: random.Random, m: int) -> tuple[int, ...]:
 
 def _eval_word_perms(images: Sequence[tuple[int, ...]], w: Word,
                      m: int) -> tuple[int, ...]:
-    out = _perm_identity(m)
+    out = tuple(range(m))
     for let in w.letters:
         p = images[abs(let) - 1]
         out = _perm_mul(out, p if let > 0 else _perm_inv(p))
     return out
-
-
-def _letter_table(images: Sequence[tuple[int, ...]]) -> dict[int, operator.itemgetter]:
-    """Signed letter -> ``itemgetter(*p)`` of its permutation p, inverse
-    letters included: ``itemgetter(*q)(out) == _perm_mul(q, out)``."""
-    table = dict(enumerate(images, 1))
-    table.update({-i: _perm_inv(p) for i, p in table.items()})
-    return {let: operator.itemgetter(*p) for let, p in table.items()}
 
 
 def _cycles_by_length(p: tuple[int, ...]) -> dict[int, list[list[int]]]:
@@ -583,15 +599,19 @@ class FiniteQuotientOracle:
     images2: tuple[tuple[int, ...], ...]
     # always 0: read only by the benchmark tracer (perfbench/spans.py)
     resamples: int = 0
-    _letter_getters: tuple[dict[int, operator.itemgetter], ...] = field(
+    # signed letter of F1 * F2, as in SyllableWord -> itemgetter(*p) of its
+    # permutation p: itemgetter(*q)(out) == _perm_mul(q, out)
+    _letter_getters: dict[int, operator.itemgetter] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 2:
             # itemgetter of one point returns that point, not a 1-tuple
             raise ValueError("oracle degree must be at least 2")
-        object.__setattr__(self, "_letter_getters", (
-            _letter_table(self.images1), _letter_table(self.images2)))
+        perms = dict(enumerate(self.images1 + self.images2, 1))
+        perms.update({-i: _perm_inv(p) for i, p in perms.items()})
+        object.__setattr__(self, "_letter_getters", {
+            let: operator.itemgetter(*p) for let, p in perms.items()})
 
     @classmethod
     def build(cls, ctx: GContext, degree: int, seed: int,
@@ -639,12 +659,10 @@ class FiniteQuotientOracle:
         letters p_1 ... p_n the tuple is ``i -> p_n[...p_1[i]]``, the same as
         folding ``_perm_mul`` left to right.
         """
-        out = _perm_identity(self.degree)
-        tables = self._letter_getters
-        for factor, s in reversed(w.syllables):
-            table = tables[factor - 1]
-            for let in reversed(s.letters):
-                out = table[let](out)
+        out = tuple(range(self.degree))
+        table = self._letter_getters
+        for let in reversed(w.letters):
+            out = table[let](out)
         return out
 
     def distinguishes(self, x: SyllableWord, y: SyllableWord) -> bool:
@@ -655,19 +673,6 @@ class FiniteQuotientOracle:
 # enumeration, sampling, and the commutation scan
 
 
-def _split_factors(rank1: int, rank2: int, w: Word) -> SyllableWord:
-    # a letter of w above rank1 is the factor-two generator of index minus rank1
-    syllables = []
-    runs = itertools.groupby(w.letters, key=lambda let: abs(let) > rank1)
-    for two, run in runs:
-        if two:
-            syllables.append((2, _trusted_word(rank2, tuple([
-                let - rank1 if let > 0 else let + rank1 for let in run]))))
-        else:
-            syllables.append((1, _trusted_word(rank1, tuple(run))))
-    return _trusted_syllables(rank1, rank2, tuple(syllables))
-
-
 def enumerate_syllable_words(rank1: int, rank2: int,
                              max_len: int) -> Iterator[SyllableWord]:
     """All syllable words of total letter length <= max_len, graded by length
@@ -675,16 +680,15 @@ def enumerate_syllable_words(rank1: int, rank2: int,
     :func:`reduced_words` on the letters of factor one followed by those of
     factor two."""
     for w in reduced_words(rank1 + rank2, max_len):
-        yield _split_factors(rank1, rank2, w)
+        yield _sp(rank1, rank2, w.letters)
 
 
 def random_syllable_word(rng: random.Random, rank1: int, rank2: int,
                          max_len: int) -> SyllableWord:
     """Uniform length in [0, max_len], then :func:`random_reduced_word` over the
     letters of both factors."""
-    length = rng.randint(0, max_len)
-    return _split_factors(
-        rank1, rank2, random_reduced_word(rng, rank1 + rank2, length))
+    w = random_reduced_word(rng, rank1 + rank2, rng.randint(0, max_len))
+    return _sp(rank1, rank2, w.letters)
 
 
 def random_kernel_word(rng: random.Random, rank1: int, rank2: int,
@@ -696,11 +700,8 @@ def random_kernel_word(rng: random.Random, rank1: int, rank2: int,
         for _ in range(rng.randint(1, 3)):
             v1 = random_reduced_word(rng, rank1, rng.randint(1, 3))
             v2 = random_reduced_word(rng, rank2, rng.randint(1, 3))
-            comm = sp_commutator(
-                sp_from_word(rank1, rank2, 1, v1),
-                sp_from_word(rank1, rank2, 2, v2))
-            if rng.random() < 0.5:
-                comm = sp_invert(comm)
+            comm = expand_basis_product(
+                rank1, rank2, [((v1, v2), -1 if rng.random() < 0.5 else 1)])
             g = random_syllable_word(rng, rank1, rank2, 3)
             w = sp_multiply(w, sp_conjugate(comm, g))
         if len(w) <= max_len:
@@ -857,12 +858,10 @@ def parse_syllable_word(text: str, rank1: int, rank2: int) -> SyllableWord:
 
 def syllable_str(w: SyllableWord) -> str:
     """Inverse of :func:`parse_syllable_word`, one segment per syllable."""
-    if w.is_identity:
-        return "e"
     segments = []
-    for factor, s in w.syllables:
+    for factor, run in _runs(w):
         prefix = ("a", "A") if factor == 1 else ("b", "B")
         segments.append(" ".join(
             f"{prefix[0]}{let}" if let > 0 else f"{prefix[1]}{-let}"
-            for let in s.letters))
-    return " | ".join(segments)
+            for let in run))
+    return " | ".join(segments) or "e"

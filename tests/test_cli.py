@@ -1,7 +1,10 @@
+import argparse
 import json
 import random
 
-from commtower import freeprod, tower
+import pytest
+
+from commtower import cli, freeprod, tower
 from commtower.cli import main
 from commtower.freeprod import (
     FiniteQuotientOracle,
@@ -229,6 +232,80 @@ def test_usage_errors(capsys):
                          flag, str(value)]) == 2
             err = capsys.readouterr().err
             assert f"{flag} must be at most {cap}, got {value}" in err
+
+
+# Integer options with no cap in cli._CAPS, each with what it costs.
+UNCAPPED = {
+    # picks the random stream only
+    "seed",
+    # verify kernel: linear in time, flat in memory (200: 0.17 s, 2000:
+    # 1.7 s, both at 18 MB peak RSS)
+    "samples",
+    # scan commute: linear in time, flat in memory (--max-len 3, 5,000:
+    # 0.29 s, 50,000: 2.8 s, both at 18 MB peak RSS)
+    "budget",
+    # scan commute: bounded by cli._SCAN_WORDS_CAP instead; verify kernel:
+    # only an upper bound on words whose length is bounded by construction
+    # (--max-len 1000000: 0.16 s, 18 MB, the same as at 24)
+    "max_len",
+    # verify tower: echoed, since infinite order is proven by the additive
+    # law (--max-level 8 at 10^9: 0.02 s, 18 MB, the same as at 100)
+    "order_powers",
+}
+
+# a short accepted command line of each leaf command with an int option
+BASE_ARGV = {
+    ("verify", "tower"): ["--max-level", "1"],
+    ("verify", "kernel"): ["--u1", "x1", "--u2", "x1", "--samples", "1",
+                           "--max-len", "8", "--seed", "1"],
+    ("scan", "commute"): ["--u1", "x1", "--u2", "x1", "--max-len", "1",
+                          "--budget", "0", "--seed", "1"],
+    ("check", "rn-split"): ["--level", "1"],
+    ("eq",): ["--u1", "x1", "--u2", "x1", "--lhs", "e", "--rhs", "e"],
+}
+
+
+def _int_options(parser, path=()):
+    """(command path, option string, dest) of every type=int option."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _int_options(sub, path + (name,))
+        elif action.type is int:
+            yield path, action.option_strings[0], action.dest
+
+
+@pytest.fixture
+def no_handlers(monkeypatch):
+    """Fail the test if any command runs."""
+    def refuse(args):
+        pytest.fail(f"a command ran for {args}")
+    monkeypatch.setattr(cli, "_HANDLERS", {key: refuse for key in cli._HANDLERS})
+
+
+def test_every_int_option_is_capped_or_allowed(capsys, no_handlers):
+    options = list(_int_options(cli.build_parser()))
+    assert {path for path, _, _ in options} <= set(BASE_ARGV)
+    assert {dest for _, _, dest in options} >= set(cli._CAPS)
+    for path, flag, dest in options:
+        if dest in UNCAPPED:
+            assert dest not in cli._CAPS
+            continue
+        assert dest in cli._CAPS, f"{' '.join(path)} {flag} has no cap"
+        cap = cli._CAPS[dest]
+        for value in (cap + 1, 10 ** 9):
+            assert main([*path, *BASE_ARGV[path], flag, str(value)]) == 2
+            err = capsys.readouterr().err
+            assert f"{flag} must be at most {cap}, got {value}" in err
+
+
+def test_eq_rejects_long_words_before_parsing(capsys, no_handlers):
+    cap = cli._EQ_LETTERS_CAP
+    for flag, text in (("--lhs", " ".join(["a c"] * (cap // 2)) + " | a"),
+                       ("--rhs", "z9 " * (cap + 1))):
+        assert main(["eq", *BASE_ARGV[("eq",)], flag, text]) == 2
+        assert f"{flag} must have at most {cap} letters, got {cap + 1}" in \
+            capsys.readouterr().err
 
 
 def _build_with_one_free_seed(bad_seed):

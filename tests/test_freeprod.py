@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -17,7 +19,6 @@ from commtower.freeprod import (
     _cycles_by_length,
     _eval_word_perms,
     _perm_mul,
-    _split_factors,
     cartesian_basis_express,
     commutation_scan,
     conj_expansion_check,
@@ -49,6 +50,7 @@ from commtower.words import (
     cyclic_reduce,
     parse_word,
     random_reduced_word,
+    reduced_words,
     word_str,
 )
 
@@ -99,6 +101,21 @@ def test_syllable_word_validation():
         SyllableWord(2, 2, ((3, fw("x1")),))
     with pytest.raises(RankMismatchError):
         SyllableWord(2, 3, ((2, fw("x1", 2)),))
+    a, b = fw("x1"), fw("x2")
+    for syllables in (((0, a),), ((-1, a),), ((1, a), (3, b)),   # tags
+                      ((1, a), (2, Word(2)), (1, b)),              # empty
+                      ((1, a), (2, b), (2, a)),                    # adjacent
+                      ((2, a), (1, b), (1, a))):
+        with pytest.raises(ValueError):
+            SyllableWord(2, 2, syllables)
+    for rank1, rank2, syllables in ((3, 2, ((1, a),)), (2, 3, ((1, a), (2, b))),
+                                    (2, 2, ((2, fw("x1", 3)),))):
+        with pytest.raises(RankMismatchError):
+            SyllableWord(rank1, rank2, syllables)
+    w = SyllableWord(2, 3, ((2, fw("X3", 3)), (1, fw("x1 x2"))))
+    assert w.letters == (-5, 1, 2)
+    assert w.syllables == ((2, fw("X3", 3)), (1, fw("x1 x2")))
+    assert SyllableWord(2, 3) == sp_empty(2, 3) != sp_empty(3, 2)
 
 
 def test_sp_reduce_checks_each_raw_syllable():
@@ -126,7 +143,7 @@ def test_trusted_syllable_words_equal_validated_reconstruction(seed):
     y = random_syllable_word(rng, rank1, rank2, 12)
     flat = random_reduced_word(rng, rank1 + rank2, rng.randint(0, 12))
     built = [x, y, sp_multiply(x, y), sp_invert(x), sp_commutator(x, y),
-             _split_factors(rank1, rank2, flat),
+             freeprod._sp(rank1, rank2, flat.letters),
              sp_reduce(rank1, rank2, x.syllables + sp_invert(y).syllables)]
     for w in built:
         assert _validated(w) == w
@@ -147,6 +164,151 @@ def test_sp_group_laws():
 def test_sp_rank_mismatch():
     with pytest.raises(RankMismatchError):
         sp_multiply(sp_empty(2, 2), sp_empty(2, 3))
+
+
+def test_syllable_words_are_immutable_values():
+    w = sw("a c B")
+    for name in ("letters", "rank1", "syllables", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, ())
+    with pytest.raises(AttributeError):
+        del w.letters
+    assert w.letters == (1, 3, -2)
+    assert copy.copy(w) == w == pickle.loads(pickle.dumps(w))
+    assert w != w.letters and w != syllable_str(w)
+
+
+# --- the syllable implementation, kept as the reference ----------------------
+# A value here is its tuple of syllables ((factor, Word), ...).
+
+def _ref_reduce(raw):
+    """Merge adjacent same-factor syllables in their factor and drop the
+    empty ones."""
+    stack = []
+    for factor, w in raw:
+        if w.is_identity:
+            continue
+        if stack and stack[-1][0] == factor:
+            merged = stack.pop()[1] * w
+            if not merged.is_identity:
+                stack.append((factor, merged))
+        else:
+            stack.append((factor, w))
+    return tuple(stack)
+
+
+def _ref_invert(syllables):
+    return tuple((f, s.inverse()) for f, s in reversed(syllables))
+
+
+def _ref_h_map(rank1, rank2, syllables):
+    p = {1: Word(rank1), 2: Word(rank2)}
+    for f, s in syllables:
+        p[f] = p[f] * s
+    return p[1], p[2]
+
+
+def _ref_express(rank1, rank2, syllables):
+    p, q = Word(rank1), Word(rank2)
+    emitted = []
+    for f, s in syllables:
+        if f == 2:
+            q = q * s
+            continue
+        ps = p * s
+        if not q.is_identity:
+            if not p.is_identity:
+                emitted.append(((p.inverse(), q.inverse()), 1))
+            if not ps.is_identity:
+                emitted.append(((ps.inverse(), q.inverse()), -1))
+        p = ps
+    assert p.is_identity and q.is_identity
+    return tuple(emitted)
+
+
+def _ref_split(rank1, rank2, letters):
+    """The syllables of a word over the rank1 + rank2 letters."""
+    syllables = []
+    for two, run in itertools.groupby(letters, key=lambda let: abs(let) > rank1):
+        run = tuple(run)
+        if two:
+            syllables.append((2, Word(rank2, tuple(
+                let - rank1 if let > 0 else let + rank1 for let in run))))
+        else:
+            syllables.append((1, Word(rank1, run)))
+    return tuple(syllables)
+
+
+def _ref_apply(oracle, syllables):
+    out = tuple(range(oracle.degree))
+    for f, s in syllables:
+        images = oracle.images1 if f == 1 else oracle.images2
+        out = _perm_mul(out, _eval_word_perms(images, s, oracle.degree))
+    return out
+
+
+def _raw_syllables(rng, rank1, rank2, count):
+    """Raw syllables, possibly empty or sharing a factor with a neighbour;
+    rank-1 factors make long cancellations likely."""
+    ranks = (None, rank1, rank2)
+    out = []
+    for _ in range(count):
+        f = rng.choice((1, 2))
+        out.append((f, random_reduced_word(rng, ranks[f], rng.randint(0, 4))))
+    return out
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_letter_tuples_match_syllable_reference(seed):
+    rng = random.Random(seed)
+    rank1, rank2 = rng.randint(1, 3), rng.randint(1, 3)
+    raws = [_raw_syllables(rng, rank1, rank2, rng.randint(0, 9)) for _ in range(3)]
+    (x, y, z) = [sp_reduce(rank1, rank2, raw) for raw in raws]
+    (rx, ry, rz) = [_ref_reduce(raw) for raw in raws]
+    assert (x.syllables, y.syllables, z.syllables) == (rx, ry, rz)
+    assert SyllableWord(rank1, rank2, rx) == x
+    assert len(x) == sum(len(s) for _, s in rx)
+
+    assert sp_multiply(x, y, z).syllables == _ref_reduce(rx + ry + rz)
+    assert (y * x).syllables == _ref_reduce(ry + rx)
+    assert sp_invert(x).syllables == _ref_invert(rx)
+    comm = _ref_reduce(_ref_invert(rx) + _ref_invert(ry) + rx + ry)
+    assert sp_commutator(x, y).syllables == comm
+    assert h_map(x) == _ref_h_map(rank1, rank2, rx)
+
+    # x y z times the inverse of its projection is in the kernel
+    xyz = sp_multiply(x, y, z)
+    p1, p2 = h_map(xyz)
+    kernel = sp_multiply(xyz, sp_invert(sp_reduce(rank1, rank2, [(1, p1), (2, p2)])))
+    assert cartesian_basis_express(kernel) == _ref_express(
+        rank1, rank2, kernel.syllables)
+
+    # equal iff the same syllables and ranks, and then the same hash
+    for a, ra in ((x, rx), (y, ry), (sp_multiply(x, y, sp_invert(y)), rx)):
+        for b, rb in ((x, rx), (z, rz)):
+            assert (a == b) == (ra == rb)
+            assert (a != b) == (ra != rb)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert freeprod._sp(rank1, rank2 + 1, x.letters) != x
+
+    ctx = GContext(rank1, rank2, fw("x1", rank1), fw("x1", rank2))
+    oracle = FiniteQuotientOracle.build(ctx, rng.randint(2, 9), seed)
+    for w, rw in ((x, rx), (kernel, kernel.syllables)):
+        assert oracle.apply(w) == _ref_apply(oracle, rw)
+
+
+def test_enumeration_and_sampling_match_syllable_split():
+    for rank1, rank2, max_len in ((1, 1, 5), (2, 1, 4), (2, 2, 3), (1, 3, 3)):
+        assert [w.syllables for w in enumerate_syllable_words(
+            rank1, rank2, max_len)] == [
+            _ref_split(rank1, rank2, w.letters)
+            for w in reduced_words(rank1 + rank2, max_len)]
+        ours, theirs = random.Random(max_len), random.Random(max_len)
+        for _ in range(60):
+            w = random_syllable_word(ours, rank1, rank2, 10)
+            flat = random_reduced_word(theirs, rank1 + rank2, theirs.randint(0, 10))
+            assert w.syllables == _ref_split(rank1, rank2, flat.letters)
 
 
 # --- projection to the direct sum --------------------------------------------------
@@ -256,6 +418,47 @@ def test_rewrite_symbols_satisfy_kind_invariants():
                 assert ctx.rep1(sym.v1) == sym.v1
             else:
                 assert ctx.rep2(sym.v2) == sym.v2
+
+
+def test_symbol_kind_follows_from_v1():
+    # kword_reduce compares symbols by (v1.letters, v2.letters), which is
+    # enough because within one context the kind is "A" exactly when v1 is
+    # its own coset representative
+    rng = random.Random(32)
+    for ctx in (ctx_single(), ctx_double(), ctx_31(), split_context(2)):
+        for _ in range(150):
+            w1 = random_reduced_word(rng, ctx.rank1, rng.randint(1, 6))
+            w2 = random_reduced_word(rng, ctx.rank2, rng.randint(1, 6))
+            for sym, _ in rewrite_commutator(ctx, w1, w2).symbols:
+                assert sym.kind == ("A" if ctx.rep1(sym.v1) == sym.v1 else "B")
+
+
+def _symbol_items(ctx, w):
+    items = []
+    for (v1, v2), sign in cartesian_basis_express(w):
+        symbols = rewrite_commutator(ctx, v1, v2).symbols
+        items.extend(symbols if sign >= 0 else
+                     [(sym, -e) for sym, e in reversed(symbols)])
+    return items
+
+
+def test_kword_reduce_by_key_matches_symbol_equality():
+    for seed, ctx in enumerate((ctx_single(), ctx_double(), ctx_31())):
+        rng = random.Random(60 + seed)
+        for _ in range(150):
+            w = random_kernel_word(rng, ctx.rank1, ctx.rank2, 24)
+            k = random_kernel_word(rng, ctx.rank1, ctx.rank2, 24)
+            # the items of w k share a prefix with those of w, so the
+            # inverse of the one before the other cancels a long stretch
+            items = [(sym, -e) for sym, e in reversed(_symbol_items(ctx, w))]
+            items += _symbol_items(ctx, sp_multiply(w, k))
+            stack = []
+            for sym, e in items:
+                if stack and stack[-1] == (sym, -e):
+                    stack.pop()
+                else:
+                    stack.append((sym, e))
+            assert kword_reduce(items).symbols == tuple(stack)
 
 
 def test_rewrite_equals_commutator_in_G():

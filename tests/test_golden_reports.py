@@ -94,3 +94,24 @@ def test_kernel_report_at_other_oracle_degrees_is_byte_identical(tmp_path, capsy
                      "--format", "json", "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `scan commute ... --format json`, as written when syllable words
+# held their syllables; the battery above pins --max-len 3 only
+SCAN_DIGESTS = {
+    ("x1 x2", 5, 0, 1):
+        "239cc4c5d58a5378c1714e0f3d197408b1a5fc398555714087620bb5930e57fa",
+    ("x1", 4, 500, 7):
+        "66e830dfbdee0cd48b75a11eb82937f644a5039a43b0058ecb5858eafee4f767",
+}
+
+
+def test_scan_reports_are_byte_identical(tmp_path, capsys):
+    for (u, max_len, budget, seed), digest in SCAN_DIGESTS.items():
+        out = tmp_path / f"scan_{max_len}.json"
+        assert main(["scan", "commute", "--u1", u, "--u2", u,
+                     "--max-len", str(max_len), "--budget", str(budget),
+                     "--seed", str(seed), "--format", "json",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
