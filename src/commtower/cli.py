@@ -377,8 +377,8 @@ _CAPS = {
 
 # Most letters in each of `eq --lhs` and `--rhs`.  The kernel image of a
 # product grows about as the square of its length: --lhs "a c a c ..." with
-# --rhs "c a c a ..." at 4096 letters each takes 1.1 s at 117 MB peak RSS
-# (2048: 0.35 s, 43 MB; 8192: 4.4 s, 411 MB).
+# --rhs "c a c a ..." at 4096 letters each takes 0.8 s at 84 MB peak RSS
+# (2048: 0.25 s, 34 MB; 8192: 3.0 s, 280 MB) on a 2-core Xeon VM.
 _EQ_LETTERS_CAP = 4096
 
 # Most words the exhaustive phase of `scan commute` may list: the 22,409 of

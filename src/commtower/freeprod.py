@@ -15,10 +15,10 @@ Equality in G is decided through the kernel K of the projection
   commutators ``[v1, v2]`` (the free basis of the kernel before the relator
   is imposed);
 * each such commutator is rewritten into the surviving free basis of K via
-  ``[w1, w2] = [w1, s2][s2, s1][s1, w2]`` where ``s_i`` is the canonical
-  representative of the coset ``<u_i> w_i``;
-* the result reduces freely over the basis symbols, and is empty iff the
-  element is trivial in G.
+  ``[w1, w2] = [w1, s2][s2, s1][s1, w2]``, ``s_i`` the representative of
+  the coset ``<u_i> w_i``, in one pass over letter tuples that reduces the
+  symbol keys on one stack (free reduction is confluent); only survivors
+  become symbols, and none survive iff the element is trivial in G.
 
 Soundness of the decision needs nothing beyond the rewriting identities,
 which hold in G outright; completeness rests on K being free on the stated
@@ -38,6 +38,8 @@ from typing import Iterable, Iterator, Sequence
 from .words import (
     RankMismatchError,
     Word,
+    _coset_core,
+    _coset_rep,
     _trusted_word,
     coset_rep,
     is_cyclically_reduced,
@@ -75,9 +77,10 @@ class SyllableWord:
                 f == g for (f, _), (g, _) in zip(syllables, syllables[1:])):
             raise ValueError("syllables must be nonempty and alternate")
         # so sp_reduce only checks their tags and ranks, and cancels nothing
-        _setattr(self, "rank1", rank1)
-        _setattr(self, "rank2", rank2)
-        _setattr(self, "letters", sp_reduce(rank1, rank2, syllables).letters)
+        object.__setattr__(self, "rank1", rank1)
+        object.__setattr__(self, "rank2", rank2)
+        object.__setattr__(
+            self, "letters", sp_reduce(rank1, rank2, syllables).letters)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"SyllableWord is immutable: {name!r}")
@@ -122,11 +125,8 @@ class SyllableWord:
         return f"SyllableWord({self.rank1}, {self.rank2}, {syllable_str(self)!r})"
 
 
-_new = object.__new__
-_setattr = object.__setattr__
-
-
-def _sp(rank1: int, rank2: int, letters: tuple[int, ...]) -> SyllableWord:
+def _sp(rank1: int, rank2: int, letters: tuple[int, ...],
+        _new=object.__new__, _setattr=object.__setattr__) -> SyllableWord:
     """A :class:`SyllableWord` from freely reduced letters, unchecked."""
     w = _new(SyllableWord)
     _setattr(w, "rank1", rank1)
@@ -141,10 +141,6 @@ def _runs(w: SyllableWord) -> Iterator[tuple[int, tuple[int, ...]]]:
     for one, run in itertools.groupby(w.letters, lambda let: -rank1 <= let <= rank1):
         yield (1, tuple(run)) if one else (2, tuple(
             [let - rank1 if let > 0 else let + rank1 for let in run]))
-
-
-def _inverse(letters: Sequence[int]) -> tuple[int, ...]:
-    return tuple([-let for let in reversed(letters)])
 
 
 def _push(stack: list[int], letters: Sequence[int]) -> None:
@@ -195,7 +191,7 @@ def sp_multiply(*ws: SyllableWord) -> SyllableWord:
 
 
 def sp_invert(w: SyllableWord) -> SyllableWord:
-    return _sp(w.rank1, w.rank2, _inverse(w.letters))
+    return _sp(w.rank1, w.rank2, tuple([-let for let in reversed(w.letters)]))
 
 
 def sp_commutator(x: SyllableWord, y: SyllableWord) -> SyllableWord:
@@ -235,6 +231,7 @@ class GContext:
     u2: Word
     _reps1: dict = field(default_factory=dict, compare=False, repr=False)
     _reps2: dict = field(default_factory=dict, compare=False, repr=False)
+    _cores: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.u1.rank != self.rank1 or self.u2.rank != self.rank2:
@@ -245,21 +242,19 @@ class GContext:
             _, exp = primitive_root(u)
             if exp != 1:
                 raise ValueError(f"{name} is a proper power (exponent {exp})")
+        object.__setattr__(
+            self, "_cores", (_coset_core(self.u1), _coset_core(self.u2)))
 
     def rep1(self, w: Word) -> Word:
-        """Cached canonical representative of <u1> w."""
-        hit = self._reps1.get(w)
-        if hit is None:
-            hit = coset_rep(self.u1, w)
-            self._reps1[w] = hit
-        return hit
+        """Canonical representative of <u1> w, through k_image's cache."""
+        if w.letters not in self._reps1 or w.rank != self.rank1:
+            self._reps1[w.letters] = coset_rep(self.u1, w).letters
+        return _trusted_word(self.rank1, self._reps1[w.letters])
 
     def rep2(self, w: Word) -> Word:
-        hit = self._reps2.get(w)
-        if hit is None:
-            hit = coset_rep(self.u2, w)
-            self._reps2[w] = hit
-        return hit
+        if w.letters not in self._reps2 or w.rank != self.rank2:
+            self._reps2[w.letters] = coset_rep(self.u2, w).letters
+        return _trusted_word(self.rank2, self._reps2[w.letters])
 
     def empty(self) -> SyllableWord:
         return sp_empty(self.rank1, self.rank2)
@@ -299,22 +294,26 @@ def cartesian_basis_express(
     are trivial exactly when ``w`` is in the kernel, and then the returned
     factors multiply out to ``w`` exactly (in F1 * F2).
     """
-    rank1, rank2 = w.rank1, w.rank2
-    p, q = [], []
-    emitted: list[tuple[tuple[Word, Word], int]] = []
-    for factor, s in _runs(w):
-        if factor == 2 or not q:
-            _push(q if factor == 2 else p, s)
+    return tuple([((_trusted_word(w.rank1, v1), _trusted_word(w.rank2, v2)), s)
+                  for (v1, v2), s in _express(w)])
+
+
+def _express(w: SyllableWord) -> Iterator[tuple]:
+    """The factors of :func:`cartesian_basis_express` as letter tuples."""
+    neg_p, neg_q = [], []  # P and Q negated: P^-1 is neg_p read backwards
+    for factor, run in _runs(w):
+        run = [-let for let in run]
+        if factor == 2 or not neg_q:
+            _push(neg_q if factor == 2 else neg_p, run)
             continue
-        q_inv = _trusted_word(rank2, _inverse(q))
-        if p:
-            emitted.append(((_trusted_word(rank1, _inverse(p)), q_inv), 1))
-        _push(p, s)
-        if p:
-            emitted.append(((_trusted_word(rank1, _inverse(p)), q_inv), -1))
-    if p or q:
+        q_inv = tuple(neg_q[::-1])
+        if neg_p:
+            yield (tuple(neg_p[::-1]), q_inv), 1
+        _push(neg_p, run)
+        if neg_p:
+            yield (tuple(neg_p[::-1]), q_inv), -1
+    if neg_p or neg_q:
         raise ValueError("word is not in the kernel of the direct-sum projection")
-    return tuple(emitted)
 
 
 def expand_basis_product(
@@ -336,7 +335,7 @@ class KBasisSymbol:
     and v2 is any nontrivial word; kind "B" is the mirror image.  A pair
     qualifying for both is classified "A".  So in one context the kind
     follows from (v1, v2): it is "A" iff v1 is its own representative.
-    Symbol words compare symbols by the key ``(v1.letters, v2.letters)``.
+    :func:`k_image` reduces symbols by the key ``(v1.letters, v2.letters)``.
     """
 
     v1: Word
@@ -364,39 +363,12 @@ class KWord:
         return KWord(tuple((s, -e) for s, e in reversed(self.symbols)))
 
 
-def kword_reduce(items: Iterable[tuple[KBasisSymbol, int]]) -> KWord:
-    """Free reduction over the symbols of one context, by symbol key."""
-    stack: list[tuple[tuple, KBasisSymbol, int]] = []
-    for sym, e in items:
-        key = (sym.v1.letters, sym.v2.letters)
-        if stack and stack[-1][2] == -e and stack[-1][0] == key:
-            stack.pop()
-        else:
-            stack.append((key, sym, e))
-    return KWord(tuple([(sym, e) for _, sym, e in stack]))
-
-
 def rewrite_commutator(ctx: GContext, w1: Word, w2: Word) -> KWord:
-    """Rewrite [w1, w2] into basis symbols:
-    [w1, w2] = [w1, s2] [s2, s1] [s1, w2], s_i the coset representative of
-    <u_i> w_i; factors with a trivial s-component vanish and are dropped.
-
-    The kinds follow from ``coset_rep`` being idempotent: [s1, s2] and
-    [s1, w2] are kind "A", and [w1, s2] is kind "A" iff w1 is its own
-    representative s1, and kind "B" otherwise."""
+    """Rewrite [w1, w2] into basis symbols: the :func:`k_image` of the
+    commutator, one factor for :func:`cartesian_basis_express`."""
     if w1.is_identity or w2.is_identity:
         raise ValueError("rewrite needs nontrivial w1, w2")
-    s1 = ctx.rep1(w1)
-    s2 = ctx.rep2(w2)
-    out: list[tuple[KBasisSymbol, int]] = []
-    if not s2.is_identity:
-        out.append((KBasisSymbol(
-            w1, s2, "A" if s1.letters == w1.letters else "B"), 1))
-    if not s1.is_identity:
-        if not s2.is_identity:
-            out.append((KBasisSymbol(s1, s2, "A"), -1))  # [s2, s1] = [s1, s2]^-1
-        out.append((KBasisSymbol(s1, w2, "A"), 1))
-    return kword_reduce(out)
+    return k_image(ctx, sp_commutator(ctx.embed(1, w1), ctx.embed(2, w2)))
 
 
 def kword_expand(kw: KWord, rank1: int, rank2: int) -> SyllableWord:
@@ -411,13 +383,32 @@ def k_image(ctx: GContext, w: SyllableWord) -> KWord:
     Empty iff ``w`` is trivial in G (completeness granted the freeness of K
     on the basis; emptiness certifying triviality needs only the rewriting
     identities, which hold in G unconditionally).
+
+    Each factor ``[w1, w2]^sign`` of :func:`cartesian_basis_express` is
+    ``([w1, s2] [s1, s2]^-1 [s1, w2])^sign`` less the symbols with an empty
+    component, ``s_i`` the representative of ``<u_i> w_i``: keys
+    ``(v1, v2, e)``, read backwards for sign -1, pushed on one stack (free
+    reduction is confluent).  Only survivors become symbols; v1 is a w1 or
+    an s1, so it is its own representative (kind "A") iff the cache maps it
+    to itself or lacks it.
     """
-    items: list[tuple[KBasisSymbol, int]] = []
-    for (v1, v2), sign in cartesian_basis_express(w):
-        symbols = rewrite_commutator(ctx, v1, v2).symbols
-        items.extend(symbols if sign >= 0 else
-                     [(sym, -e) for sym, e in reversed(symbols)])
-    return kword_reduce(items)
+    reps1, reps2 = ctx._reps1, ctx._reps2
+    stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+    for (w1, w2), sign in _express(w):
+        s1 = reps1.get(w1)
+        if s1 is None:
+            s1 = reps1[w1] = _coset_rep(ctx._cores[0], w1)
+        s2 = reps2.get(w2)
+        if s2 is None:
+            s2 = reps2[w2] = _coset_rep(ctx._cores[1], w2)
+        for v1, v2, e in ((w1, s2, sign), (s1, s2, -sign), (s1, w2, sign))[::sign]:
+            if stack and stack[-1] == (v1, v2, -e):
+                stack.pop()
+            elif v1 and v2:
+                stack.append((v1, v2, e))
+    return KWord(tuple([(KBasisSymbol(
+        _trusted_word(ctx.rank1, v1), _trusted_word(ctx.rank2, v2),
+        "A" if reps1.get(v1, v1) == v1 else "B"), e) for v1, v2, e in stack]))
 
 
 def eq_in_G(ctx: GContext, x: SyllableWord, y: SyllableWord) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 
 class AlphabetError(ValueError):
@@ -35,16 +35,6 @@ def _check_rank(rank: int) -> None:
         raise AlphabetError(f"rank must be nonnegative, got {rank}")
 
 
-def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for let in letters:
-        if out and out[-1] == -let:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
-
-
 _new = object.__new__
 _setattr = object.__setattr__
 
@@ -56,6 +46,15 @@ def _trusted_word(rank: int, letters: tuple[int, ...]) -> "Word":
     _setattr(w, "rank", rank)
     _setattr(w, "letters", letters)
     return w
+
+
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced product of reduced letter tuples: they cancel at the junction."""
+    n = len(a)
+    i, stop = 0, min(n, len(b))
+    while i < stop and a[n - 1 - i] == -b[i]:
+        i += 1
+    return a[:n - i] + b[i:]
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,7 @@ class Word:
         if self.rank != other.rank:
             raise RankMismatchError(
                 f"cannot multiply words of rank {self.rank} and {other.rank}")
-        # both factors are reduced, so letters cancel only at the junction
-        a, b = self.letters, other.letters
-        n = len(a)
-        i, stop = 0, min(n, len(b))
-        while i < stop and a[n - 1 - i] == -b[i]:
-            i += 1
-        return _trusted_word(self.rank, a[:n - i] + b[i:])
+        return _trusted_word(self.rank, _join(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         return _trusted_word(
@@ -131,11 +124,15 @@ def generator(rank: int, index: int) -> Word:
 
 def reduce_word(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a raw letter sequence.  Idempotent."""
-    letters = tuple(letters)
+    out: list[int] = []
     for let in letters:
         if let == 0 or abs(let) > rank:
             raise AlphabetError(f"letter {let} outside alphabet of rank {rank}")
-    return Word(rank, _reduce_letters(letters))
+        if out and out[-1] == -let:
+            out.pop()
+        else:
+            out.append(let)
+    return Word(rank, tuple(out))
 
 
 def multiply(u: Word, v: Word) -> Word:
@@ -228,7 +225,7 @@ def exponent_sum(w: Word) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def cyclic_subgroup_exponent(u: Word, v: Word) -> Optional[int]:
+def cyclic_subgroup_exponent(u: Word, v: Word) -> int | None:
     """Return k with ``v = u^k`` if one exists, else None.
 
     With ``u = conj^-1 core conj`` and the core cyclically reduced, ``core^k``
@@ -253,13 +250,9 @@ def cyclic_subgroup_exponent(u: Word, v: Word) -> Optional[int]:
     return None
 
 
-def _letter_key(let: int) -> tuple[int, int]:
-    # generator index first, then positive before negative
-    return (abs(let), 0 if let > 0 else 1)
-
-
-def shortlex_key(w: Word) -> tuple:
-    return (len(w), tuple(_letter_key(let) for let in w.letters))
+def shortlex_key(letters: tuple[int, ...]) -> tuple:
+    # length, then by letter: lower generator index, then positive first
+    return (len(letters), [(abs(let), let < 0) for let in letters])
 
 
 def coset_rep(u: Word, w: Word) -> Word:
@@ -291,18 +284,31 @@ def coset_rep(u: Word, w: Word) -> Word:
     words u^k w are pairwise distinct (free groups are torsion-free), so the
     minimum is unique.  In particular the representative of <u> itself is
     the empty word.  The cost is O(|u| + |w|).
+
+    :func:`_coset_rep` works on letters, from the core, the conjugator and
+    their inverses, which this computes per call and GContext once.
     """
     if u.rank != w.rank:
         raise RankMismatchError(
             f"cannot form coset across ranks {u.rank} and {w.rank}")
     if len(u) == 0:
         raise ValueError("u must be nonempty")
+    return _trusted_word(w.rank, _coset_rep(_coset_core(u), w.letters))
+
+
+def _coset_core(u: Word) -> tuple[tuple[int, ...], ...]:
+    """The letters of conj, conj^-1, core and core^-1 for nonempty u."""
     core, conj = cyclic_reduce(u)
-    v = (conj * w).letters
-    if v[:1] == core.letters[:1]:
-        s, period = -1, core.letters
-    else:
-        s, period = 1, core.inverse().letters
+    return conj.letters, conj.inverse().letters, core.letters, core.inverse().letters
+
+
+def _coset_rep(cu: tuple, w: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`coset_rep` on letters, ``cu = _coset_core(u)``, s and p as there.
+    With ``p = q |core| + r``, ``power = core^s`` cancels q periods of v in
+    ``core^(s q)``, and ``core^(s (q + 1))`` leaves ``power[:|core| - r]``."""
+    conj, conj_inv, core, core_inv = cu
+    v = _join(conj, w)
+    period, power = (core, core_inv) if v[:1] == core[:1] else (core_inv, core)
     # p: whole periods of the matched prefix by slices, then the rest
     m, p = len(period), 0
     while v[p:p + m] == period:
@@ -311,12 +317,13 @@ def coset_rep(u: Word, w: Word) -> Word:
         if a != b:
             break
         p += 1
-    q, r = divmod(p, m)
+    r = p % m
     if 2 * r < m:
-        return u ** (s * q) * w
+        return _join(conj_inv, v[p - r:])
     if 2 * r > m:
-        return u ** (s * (q + 1)) * w
-    return min(u ** (s * q) * w, u ** (s * (q + 1)) * w, key=shortlex_key)
+        return _join(conj_inv, power[:m - r] + v[p:])
+    return min(_join(conj_inv, v[p - r:]),
+               _join(conj_inv, power[:m - r] + v[p:]), key=shortlex_key)
 
 
 def shift_index(w: Word, offset: int, rank: int) -> Word:
@@ -345,7 +352,7 @@ def parse_word(text: str, rank: int) -> Word:
             raise AlphabetError(
                 f"token {tok!r} outside alphabet of rank {rank}")
         letters.append(index if m.group(1) == "x" else -index)
-    return Word(rank, _reduce_letters(letters))
+    return reduce_word(letters, rank)
 
 
 def word_str(w: Word) -> str:
@@ -358,8 +365,7 @@ def word_str(w: Word) -> str:
 
 def reduced_words(rank: int, max_len: int) -> Iterator[Word]:
     """All freely reduced words of length <= max_len, in graded shortlex order."""
-    alphabet = sorted(
-        [let for i in range(1, rank + 1) for let in (i, -i)], key=_letter_key)
+    alphabet = [let for i in range(1, rank + 1) for let in (i, -i)]
 
     def exact(prefix: list[int], remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -381,10 +387,13 @@ def reduced_words(rank: int, max_len: int) -> Iterator[Word]:
 def random_reduced_word(rng, rank: int, length: int) -> Word:
     """A uniformly chosen freely reduced word of exactly the given length."""
     _check_rank(rank)
+    # index a of x1, X1, x2, X2, ... is inverse to a ^ 1; rng.choice draws
+    # from a range just as from the list of the allowed letters in order
+    n = skip = 2 * rank  # skip: the index of the last letter's inverse
     letters: list[int] = []
     for _ in range(length):
-        choices = [
-            let for i in range(1, rank + 1) for let in (i, -i)
-            if not letters or letters[-1] != -let]
-        letters.append(rng.choice(choices))
+        a = rng.choice(range(n - (skip < n)))
+        a += a >= skip
+        letters.append(-(a // 2 + 1) if a & 1 else a // 2 + 1)
+        skip = a ^ 1
     return _trusted_word(rank, tuple(letters))

@@ -29,7 +29,6 @@ from commtower.freeprod import (
     h_map,
     k_image,
     kword_expand,
-    kword_reduce,
     parse_syllable_word,
     random_kernel_word,
     random_syllable_word,
@@ -47,6 +46,7 @@ from commtower.tower import split_context
 from commtower.words import (
     RankMismatchError,
     Word,
+    coset_rep,
     cyclic_reduce,
     parse_word,
     random_reduced_word,
@@ -421,9 +421,9 @@ def test_rewrite_symbols_satisfy_kind_invariants():
 
 
 def test_symbol_kind_follows_from_v1():
-    # kword_reduce compares symbols by (v1.letters, v2.letters), which is
-    # enough because within one context the kind is "A" exactly when v1 is
-    # its own coset representative
+    # k_image compares symbols by (v1.letters, v2.letters), which is enough
+    # because within one context the kind is "A" exactly when v1 is its own
+    # coset representative
     rng = random.Random(32)
     for ctx in (ctx_single(), ctx_double(), ctx_31(), split_context(2)):
         for _ in range(150):
@@ -431,34 +431,6 @@ def test_symbol_kind_follows_from_v1():
             w2 = random_reduced_word(rng, ctx.rank2, rng.randint(1, 6))
             for sym, _ in rewrite_commutator(ctx, w1, w2).symbols:
                 assert sym.kind == ("A" if ctx.rep1(sym.v1) == sym.v1 else "B")
-
-
-def _symbol_items(ctx, w):
-    items = []
-    for (v1, v2), sign in cartesian_basis_express(w):
-        symbols = rewrite_commutator(ctx, v1, v2).symbols
-        items.extend(symbols if sign >= 0 else
-                     [(sym, -e) for sym, e in reversed(symbols)])
-    return items
-
-
-def test_kword_reduce_by_key_matches_symbol_equality():
-    for seed, ctx in enumerate((ctx_single(), ctx_double(), ctx_31())):
-        rng = random.Random(60 + seed)
-        for _ in range(150):
-            w = random_kernel_word(rng, ctx.rank1, ctx.rank2, 24)
-            k = random_kernel_word(rng, ctx.rank1, ctx.rank2, 24)
-            # the items of w k share a prefix with those of w, so the
-            # inverse of the one before the other cancels a long stretch
-            items = [(sym, -e) for sym, e in reversed(_symbol_items(ctx, w))]
-            items += _symbol_items(ctx, sp_multiply(w, k))
-            stack = []
-            for sym, e in items:
-                if stack and stack[-1] == (sym, -e):
-                    stack.pop()
-                else:
-                    stack.append((sym, e))
-            assert kword_reduce(items).symbols == tuple(stack)
 
 
 def test_rewrite_equals_commutator_in_G():
@@ -532,9 +504,58 @@ def _k_image_literal(ctx, w):
             out.append((_classify_literal(ctx, s1, s2), -1))
         if not s1.is_identity:
             out.append((_classify_literal(ctx, s1, w2), 1))
-        kw = kword_reduce(out)
+        kw = _reduce_by_equality(out)
         pieces.append(kw if sign >= 0 else kw.inverse())
-    return kword_reduce(itertools.chain.from_iterable(kw.symbols for kw in pieces))
+    return _reduce_by_equality(
+        itertools.chain.from_iterable(kw.symbols for kw in pieces))
+
+
+def _reduce_by_equality(items):
+    # free reduction by symbol equality, kinds included
+    stack = []
+    for sym, e in items:
+        if stack and stack[-1] == (sym, -e):
+            stack.pop()
+        else:
+            stack.append((sym, e))
+    return KWord(tuple(stack))
+
+
+def test_k_image_reduces_by_key_like_symbol_equality():
+    # w n w^-1, n a conjugated relator, has an empty image, so the stack
+    # cancels every symbol of the factors of w against those of w^-1
+    for seed, ctx in enumerate((ctx_single(), ctx_double(), ctx_31())):
+        rng = random.Random(60 + seed)
+        for _ in range(150):
+            w = random_kernel_word(rng, ctx.rank1, ctx.rank2, 24)
+            k = random_kernel_word(rng, ctx.rank1, ctx.rank2, 24)
+            n = sp_conjugate(ctx.relator(), random_syllable_word(
+                rng, ctx.rank1, ctx.rank2, 4))
+            hidden = sp_multiply(w, n, sp_invert(w))
+            assert k_image(ctx, hidden).is_identity
+            for x in (sp_multiply(w, k), sp_multiply(w, n, k, sp_invert(w)),
+                      hidden):
+                assert k_image(ctx, x) == _k_image_literal(ctx, x)
+
+
+def _eq_long_shaped(rng, ctx, length):
+    # x y^-1 for y = x t, t a product of conjugated relators of about
+    # length / 2 letters, and sometimes one conjugated commutator [v1, v2]
+    x = random_syllable_word(rng, ctx.rank1, ctx.rank2, length // 2)
+    factors = []
+    while sum(len(f) for f in factors) < length // 2:
+        g = random_syllable_word(rng, ctx.rank1, ctx.rank2, 8)
+        core = ctx.relator() if rng.random() < 0.5 else sp_invert(ctx.relator())
+        factors.append(sp_conjugate(core, g))
+    if rng.random() < 0.5:
+        v1 = random_reduced_word(rng, ctx.rank1, rng.randint(1, 3))
+        v2 = random_reduced_word(rng, ctx.rank2, rng.randint(1, 3))
+        factors.append(sp_conjugate(
+            sp_commutator(ctx.embed(1, v1), ctx.embed(2, v2)),
+            random_syllable_word(rng, ctx.rank1, ctx.rank2, 8)))
+    rng.shuffle(factors)
+    y = sp_multiply(x, *factors)
+    return sp_multiply(x, sp_invert(y))
 
 
 def test_k_image_matches_literal_pipeline():
@@ -543,6 +564,31 @@ def test_k_image_matches_literal_pipeline():
         for _ in range(700):
             w = random_kernel_word(rng, ctx.rank1, ctx.rank2, 40)
             assert k_image(ctx, w) == _k_image_literal(ctx, w)
+    # the eq_long contexts (u = x1 x2 ties often) on words of about 256
+    # letters, each context's cache shared across its words
+    for seed, ctx in enumerate((ctx_double(), ctx_single(), split_context(2))):
+        rng = random.Random(950 + seed)
+        for _ in range(12):
+            w = _eq_long_shaped(rng, ctx, 256)
+            assert k_image(ctx, w) == _k_image_literal(ctx, w)
+
+
+def test_rep_wrappers_agree_with_coset_rep_through_the_cache():
+    rng = random.Random(34)
+    for ctx in (ctx_single(), ctx_double(), ctx_31(), split_context(2)):
+        for _ in range(50):
+            k_image(ctx, random_kernel_word(rng, ctx.rank1, ctx.rank2, 24))
+        assert ctx._reps1 and ctx._reps2
+        for reps, u, rep, rank in ((ctx._reps1, ctx.u1, ctx.rep1, ctx.rank1),
+                                   (ctx._reps2, ctx.u2, ctx.rep2, ctx.rank2)):
+            for letters, hit in list(reps.items()):
+                w = Word(rank, letters)
+                assert hit == coset_rep(u, w).letters == rep(w).letters
+            fresh = random_reduced_word(rng, rank, 9)
+            assert rep(fresh) == coset_rep(u, fresh)
+            assert reps[fresh.letters] == rep(fresh).letters
+            with pytest.raises(RankMismatchError):
+                rep(Word(rank + 1, next(iter(reps))))
 
 
 def test_eq_examples():

@@ -26,7 +26,6 @@ from commtower.words import (
     shortlex_key,
     support,
     word_str,
-    _reduce_letters,
 )
 
 
@@ -118,8 +117,8 @@ def test_pow_through_core_matches_reduction(core, g, e, k):
     power = reduce_word(core.letters * e, 3)
     for base in (core, conjugate(core, g), power, conjugate(power, g)):
         inverse = tuple(-let for let in reversed(base.letters))
-        expected = _reduce_letters(
-            (base.letters if k >= 0 else inverse) * abs(k))
+        expected = reduce_word(
+            (base.letters if k >= 0 else inverse) * abs(k), 3).letters
         assert (base ** k).letters == expected
 
 
@@ -343,7 +342,7 @@ def _coset_rep_literal(u, word):
     acc = u ** (-bound)
     for _ in range(-bound, bound + 1):
         cand = acc * word
-        key = shortlex_key(cand)
+        key = shortlex_key(cand.letters)
         if best_key is None or key < best_key:
             best, best_key = cand, key
         acc = acc * u
@@ -437,51 +436,65 @@ def test_coset_rep_matches_literal_window_on_long_prefixes():
 
 
 def test_coset_rep_builds_at_most_two_candidates(monkeypatch):
-    pows, keys = [], []
-    raw_pow, raw_key = Word.__pow__, words.shortlex_key
+    # one junction gives v = conj w, and one more builds each candidate
+    # conj^-1 core^k v; only a tie keys its two candidates
+    joins, keys = [], []
+    raw_join, raw_key = words._join, words.shortlex_key
 
-    def counting_pow(a, k):
-        pows.append(k)
-        return raw_pow(a, k)
+    def counting_join(a, b):
+        joins.append(b)
+        return raw_join(a, b)
 
     def counting_key(v):
         keys.append(v)
         return raw_key(v)
 
-    monkeypatch.setattr(Word, "__pow__", counting_pow)
+    monkeypatch.setattr(words, "_join", counting_join)
     monkeypatch.setattr(words, "shortlex_key", counting_key)
     ties = 0
     for u, word in _seeded_pairs(23, 600, 60):
-        pows.clear()
+        joins.clear()
         keys.clear()
         coset_rep(u, word)
-        assert len(pows) <= 2
+        assert len(joins) - 1 <= 2
         assert len(keys) <= 2
         ties += len(keys) == 2
     assert ties > 0
 
 
 def test_coset_rep_multiplies_linearly(monkeypatch):
-    # letters through Word.__mul__ stay linear in |w|; the literal window
-    # passes about 1.6 * 10^6 at |w| = 512
+    # letters through the junctions stay linear in |w|; the literal window
+    # passes about 1.6 * 10^6 through Word.__mul__ at |w| = 512
     word = random_reduced_word(random.Random(512), 2, 512)
     passed = []
-    raw_mul = Word.__mul__
+    raw_join = words._join
 
-    def counting_mul(a, b):
+    def counting_join(a, b):
         passed.append(len(a) + len(b))
-        return raw_mul(a, b)
+        return raw_join(a, b)
 
-    monkeypatch.setattr(Word, "__mul__", counting_mul)
+    monkeypatch.setattr(words, "_join", counting_join)
     coset_rep(w("x1 x2"), word)
     assert sum(passed) <= 8 * len(word)
+
+
+@given(st.sampled_from(["x2 x1 x1 X2", "X1 x2 x1", "x1 x2 x1 X2 X1",
+                        "x2 x1 x2 X1 X2", "x1 x2", "x1"]), words_st(2, 40),
+       st.integers(min_value=-4, max_value=4))
+def test_coset_rep_on_letters_matches_literal_window(text, word, k):
+    # u not cyclically reduced, so the core and the conjugator both count
+    u = w(text)
+    for v in (word, u ** k * word):
+        assert coset_rep(u, v) == _coset_rep_literal(u, v)
+        assert words._coset_rep(words._coset_core(u), v.letters) \
+            == _coset_rep_literal(u, v).letters
 
 
 def test_shortlex_letter_order():
     # length first; on equal length, lower index first, positive before negative
     ranked = sorted(
         [w("x2"), w("X1"), w("x1"), w("X2"), w("x1 x1"), Word(2)],
-        key=shortlex_key)
+        key=lambda v: shortlex_key(v.letters))
     assert [word_str(v) for v in ranked] == ["e", "x1", "X1", "x2", "X2", "x1 x1"]
 
 
@@ -549,6 +562,27 @@ def test_trusted_enumerated_and_sampled_words_are_valid():
         next(reduced_words(-1, 2))
     with pytest.raises(AlphabetError):
         random_reduced_word(rng, -1, 0)
+
+
+def _random_reduced_word_literal(rng, rank, length):
+    # the whole alphabet filtered again for every letter drawn
+    letters = []
+    for _ in range(length):
+        choices = [
+            let for i in range(1, rank + 1) for let in (i, -i)
+            if not letters or letters[-1] != -let]
+        letters.append(rng.choice(choices))
+    return tuple(letters)
+
+
+def test_random_reduced_word_matches_list_building_draw():
+    for rank in range(1, 9):
+        for seed in range(6):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for length in (0, 1, 2, 7, 40):
+                assert random_reduced_word(ours, rank, length).letters == \
+                    _random_reduced_word_literal(theirs, rank, length)
+            assert ours.random() == theirs.random()
 
 
 def test_random_reduced_word_is_reduced():
