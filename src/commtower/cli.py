@@ -348,9 +348,10 @@ _POSITIVE_FLAGS = ("max_level", "order_powers", "samples", "max_len",
 # Highest value of each flag (peak memory and time, CPython 3.11).
 _CAPS = {
     "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
-    # verify tower --max-level 17 runs in 5.1-6.1 s wall at 128 MB peak RSS
-    # (16: 3.1-4.2 s, 73 MB; 18: 16.2 s, 244 MB; CPython 3.11, 2-core VM);
-    # the sparse images grow x2 per level in time and memory
+    # verify tower --max-level 17 runs in 1.5-1.9 s wall at 116 MB peak RSS
+    # (16: 0.6-0.9 s, 66 MB; 18: 2.9 s, 215 MB; CPython 3.11, 2-core VM);
+    # each bracket is O(1), but the top-level images and the _blocks cache
+    # still double per level in memory
     "max_level": 17,
     # An oracle build takes about 0.12 ms at degree 64 (0.05 ms at 8).  The
     # seeds are applied as one product permutation of degree x seeds points,

@@ -40,6 +40,7 @@ from .words import (
     Word,
     _coset_core,
     _coset_rep,
+    _join,
     _trusted_word,
     coset_rep,
     is_cyclically_reduced,
@@ -182,11 +183,7 @@ def sp_multiply(*ws: SyllableWord) -> SyllableWord:
             raise RankMismatchError(
                 f"mixed free-product ranks: {(rank1, rank2)} and "
                 f"{(w.rank1, w.rank2)}")
-        b = w.letters
-        n, i = len(out), 0
-        while i < n and i < len(b) and out[n - 1 - i] == -b[i]:
-            i += 1
-        out = out[:n - i] + b[i:] if i else out + b
+        out = _join(out, w.letters)
     return _sp(rank1, rank2, out)
 
 

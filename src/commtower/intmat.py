@@ -2,14 +2,9 @@
 
 Dense, immutable matrices over Python ints (so entries never overflow or
 round).  Only what the word-evaluation homomorphisms need: elementary
-matrices, products, inverses of unitriangular matrices, and evaluation of
-free-group words under a generator -> matrix assignment.
-
-A unitriangular matrix also has a sparse form: the dict ``{(i, j): c}`` of
-its nonzero entries above the diagonal (1-based, ``i < j``), so the identity
-is ``{}`` and ``e(a; i, j)`` is ``{(i, j): a}``.  :func:`sparse_mul`,
-:func:`sparse_inverse` and :func:`sparse_commutator` compute on that form in
-time proportional to the entries they touch, whatever the dimension.
+matrices, products, inverses of unitriangular matrices, evaluation of
+free-group words under a generator -> matrix assignment, and the bracket of
+two elementary matrices in sparse form.
 """
 
 from __future__ import annotations
@@ -116,6 +111,8 @@ def unitriangular_inverse(a: IntMatrix) -> IntMatrix:
     return IntMatrix(n, tuple(tuple(r) for r in inv))
 
 
+# The sparse form of a unitriangular matrix: its nonzero entries above the
+# diagonal, 1-based, so the identity is {} and e(a; i, j) is {(i, j): a}
 Sparse = dict[tuple[int, int], int]
 
 
@@ -132,63 +129,31 @@ def from_entries(dim: int,
     return IntMatrix(dim, tuple(tuple(r) for r in rows))
 
 
-def _nil_mul(x: Sparse, y: Sparse) -> Sparse:
-    """The product XY of two strictly upper triangular sparse matrices;
-    entries that sum to zero are kept."""
-    y_rows: dict[int, list[tuple[int, int]]] = {}
-    for (k, j), c in y.items():
-        y_rows.setdefault(k, []).append((j, c))
-    out: Sparse = {}
-    for (i, k), c in x.items():
-        for j, d in y_rows.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + c * d
-    return out
+def elementary_commutator(a: Sparse, b: Sparse) -> Sparse:
+    """The bracket ``[a, b] = a^-1 b^-1 a b`` of two sparse images with at
+    most one entry each, by the Steinberg relations (Milnor, *Introduction
+    to Algebraic K-Theory*, section 5).
 
-
-def _add(x: Sparse, y: Sparse, sign: int = 1) -> Sparse:
-    """X + sign * Y without zero entries."""
-    out = dict(x)
-    for key, c in y.items():
-        out[key] = out.get(key, 0) + sign * c
-    return {key: c for key, c in out.items() if c}
-
-
-def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
-    """Product of two sparse unitriangular matrices:
-    ``(I + A)(I + B) = I + A + B + AB``."""
-    return _add(a, _add(b, _nil_mul(a, b)))
-
-
-def sparse_inverse(a: Sparse) -> Sparse:
-    """Inverse of a sparse unitriangular matrix ``I + N``.
-
-    The inverse ``I + M`` satisfies ``M = -N - N M``, so row i of M is
-    ``-N[i] - sum_k N[i][k] M[k]`` over k > i: rows are solved bottom up.
+    ``[e(s; i, j), e(t; k, l)]`` is ``e(st; i, l)`` if ``j == k``,
+    ``e(-st; k, j)`` if ``l == i``, and the identity otherwise; both cases
+    cannot hold at once, since ``i < j = k < l = i`` is impossible.  An
+    empty image (the identity) brackets to ``{}``.  So images with at most
+    one entry are closed under the bracket, and it costs O(1) whatever the
+    dimension.  An image with two or more entries raises ``ValueError``.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in a.items():
-        rows.setdefault(i, {})[j] = c
-    inv: dict[int, dict[int, int]] = {}
-    for i in sorted(rows, reverse=True):
-        row = {j: -c for j, c in rows[i].items()}
-        for k, c in rows[i].items():
-            for j, d in inv.get(k, {}).items():
-                row[j] = row.get(j, 0) - c * d
-        inv[i] = {j: c for j, c in row.items() if c}
-    return {(i, j): c for i, row in inv.items() for j, c in row.items()}
-
-
-def sparse_commutator(a: Sparse, b: Sparse) -> Sparse:
-    """``[a, b] = a^-1 b^-1 a b = (ba)^-1 (ab) = I + (ba)^-1 (ab - ba)``.
-
-    For ``a = I + A`` and ``b = I + B``, ``ab - ba = AB - BA =: D``, so
-    commuting matrices cost two products of their off-diagonal parts.
-    Otherwise, with ``(ba)^-1 = I + M``, the bracket is ``I + D + M D``.
-    """
-    d = _add(_nil_mul(a, b), _nil_mul(b, a), -1)
-    if not d:
-        return d
-    return _add(d, _nil_mul(sparse_inverse(sparse_mul(b, a)), d))
+    if len(a) > 1 or len(b) > 1:
+        raise ValueError(
+            "the bracket needs images with at most one entry, got "
+            f"{len(a)} and {len(b)}")
+    if not a or not b:
+        return {}
+    (((i, j), s),) = a.items()
+    (((k, l), t),) = b.items()
+    if j == k:
+        return {(i, l): s * t}
+    if l == i:
+        return {(k, j): -s * t}
+    return {}
 
 
 def as_elementary(m: IntMatrix) -> Optional[tuple[int, int, int]]:

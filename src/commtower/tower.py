@@ -15,10 +15,12 @@ the former family in the group of unitriangular integer matrices.
 :func:`verify_representation` checks it by exact arithmetic on sparse
 images, never on the ``4^n``-letter seed word: evaluation is a homomorphism,
 so the images of one level pull back to the level below as brackets
-(:func:`pull_back`), and the level-0 image is the seed image ``S``.  It
-checks that ``S`` is exactly ``e(+-1; 1, 2^n+1)``, which has infinite order
-by the additive law ``e(a; 1, d) e(b; 1, d) = e(a+b; 1, d)``, and that every
-relator bracket ``[S, x(i)]`` maps to the identity.
+(:func:`pull_back`), and the level-0 image is the seed image ``S``.  Every
+image is a single-entry elementary matrix, so each bracket is the closed
+form of the Steinberg relations.  It checks that ``S`` is exactly
+``e(+-1; 1, 2^n+1)``, which has infinite order by the additive law
+``e(a; 1, d) e(b; 1, d) = e(a+b; 1, d)``, and that every relator bracket
+``[S, x(i)]`` maps to the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import freeprod
-from .intmat import IntMatrix, Sparse, from_entries, sparse_commutator
+from .intmat import IntMatrix, Sparse, elementary_commutator, from_entries
 # tower.py calls neither, but perfbench/spans.py patches tower.matmul and
 # tower.evaluate_word by name
 from .intmat import evaluate_word, matmul
@@ -59,11 +61,11 @@ def _blocks(i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def doubling_map(n: int, w: Word) -> Word:
     """Apply the level-n structure map letter by letter.
 
-    No free cancellation can occur between adjacent blocks (every block
-    starts with an inverse letter and ends with a positive one, and only the
-    block of ``a^-1`` starts with the inverse of the last letter of the block
-    of ``a``), so the image of a reduced word has exactly four times its
-    length; :func:`doubling_is_cancellation_free` checks this per level.
+    No free cancellation can occur between adjacent blocks (distinct
+    generators have disjoint children alphabets, and each block starts with
+    an inverse letter and ends with a positive one, so it does not cancel
+    against itself), so the image of a reduced word has exactly four times
+    its length; :func:`doubling_is_cancellation_free` checks this per level.
     """
     if w.rank != level_rank(n):
         raise RankMismatchError(
@@ -79,24 +81,24 @@ def doubling_is_cancellation_free(n: int) -> bool:
     """Certify the no-cancellation lemma of :func:`doubling_map` at level n.
 
     The image of a word concatenates the blocks of its letters, so it is
-    freely reduced with four times the length of every reduced word iff each
-    block is a reduced 4-letter word and no junction cancels: the block of
-    ``b`` must not start with the inverse of the last letter of the block of
-    ``a`` unless ``b = a^-1``, which never follows ``a`` in a reduced word.
-    That is a finite check over the ``2^(n+1)`` signed letters, in O(2^n):
-    index the blocks by first letter, then look up each block's inverted
-    last letter.
+    freely reduced with four times the length of every reduced word if each
+    generator ``x(i)`` passes on its own: both its blocks are reduced
+    4-letter words over ``+-(2i-1), +-2i``, and neither cancels against
+    itself at the junction (its last letter is not the inverse of its
+    first), which covers ``x(i) x(i)`` and ``x(i)^-1 x(i)^-1``.  The
+    children alphabets of distinct generators are disjoint, so no other
+    junction can cancel, and ``x(i) x(i)^-1`` never occurs in a reduced
+    word: the condition is sufficient.  It is stricter than the lemma
+    needs, since it also fixes each block's alphabet.  O(2^n).
     """
-    starts: dict[int, list[int]] = {}
-    ends: list[tuple[int, int]] = []
     for i in range(1, level_rank(n) + 1):
-        for let, block in zip((i, -i), _blocks(i)):
-            if len(block) != 4 or block[0] == -block[1] \
-                    or block[1] == -block[2] or block[2] == -block[3]:
+        alphabet = {2 * i - 1, 1 - 2 * i, 2 * i, -2 * i}
+        for block in _blocks(i):
+            if len(block) != 4 or not alphabet.issuperset(block) \
+                    or block[0] == -block[1] or block[1] == -block[2] \
+                    or block[2] == -block[3] or block[3] == -block[0]:
                 return False
-            starts.setdefault(block[0], []).append(let)
-            ends.append((let, block[3]))
-    return all(b == -a for a, last in ends for b in starts.get(-last, ()))
+    return True
 
 
 def seed_length(n: int) -> int | None:
@@ -186,10 +188,11 @@ def pull_back(images: Mapping[int, Sparse]) -> dict[int, Sparse]:
     Evaluation is a homomorphism, so evaluating ``doubling_map(m, w)`` under
     an assignment A equals evaluating w under ``A o D_m``, which sends
     ``x(i)`` to the bracket of the images of ``x(2i-1)`` and ``x(2i)``.  The
-    brackets are computed by generic sparse arithmetic; nothing assumes they
-    come out elementary.
+    images have at most one entry each, so every bracket is the closed form
+    :func:`~commtower.intmat.elementary_commutator`, in O(1); an image with
+    more entries raises ``ValueError``.
     """
-    return {i: sparse_commutator(images[2 * i - 1], images[2 * i])
+    return {i: elementary_commutator(images[2 * i - 1], images[2 * i])
             for i in range(1, len(images) // 2 + 1)}
 
 
@@ -233,15 +236,17 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
     the image of the level-0 generator, since the seed word is that
     generator pushed up through the doubling maps.  Verifies that (a) every
     relator ``[seed, x(i)]`` of :func:`central_presentation` maps to the
-    identity, i.e. the sparse bracket ``[S, image of x(i)]`` is empty
-    (evaluation is a homomorphism, so the literal ``2*4^n + 2``-letter
-    relators are never built); (b) S is exactly ``e(+-1; 1, 2^n+1)``, with
-    the sign recorded; and (c) S has infinite order.  (c) follows from (b):
-    ``E_(1,d)^2 = 0``, so the k-th power of ``e(s; 1, d)`` is ``e(sk; 1, d)``,
-    which differs from the identity for every k != 0.  ``order_checked_to``
+    identity, i.e. the Steinberg bracket
+    :func:`~commtower.intmat.elementary_commutator` of S with the image of
+    ``x(i)`` is empty (evaluation is a homomorphism, so the literal
+    ``2*4^n + 2``-letter relators are never built); (b) S is exactly
+    ``e(+-1; 1, 2^n+1)``, with the sign recorded; and (c) S has infinite
+    order.  (c) follows from (b): ``E_(1,d)^2 = 0``, so the k-th power of
+    ``e(s; 1, d)`` is ``e(sk; 1, d)``, which differs from the identity for
+    every k != 0.  ``order_checked_to``
     echoes ``order_powers`` once (b) holds, and is 0 otherwise.
-    ``x01_length`` is :func:`seed_length`.  The cost is O(2^n) sparse
-    brackets of a few entries each.
+    ``x01_length`` is :func:`seed_length`.  The cost is O(2^n) brackets of
+    single-entry images, O(1) each.
     """
     if n < 1:
         raise ValueError("representation checks need n >= 1")
@@ -256,7 +261,7 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
     seed = images[1]
 
     failures = [f"relator {i} does not map to the identity"
-                for i, image in top.items() if sparse_commutator(seed, image)]
+                for i, image in top.items() if elementary_commutator(seed, image)]
     relations_ok = not failures
 
     sign: int | None = None

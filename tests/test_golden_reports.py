@@ -38,6 +38,14 @@ TOWER_LEVEL8_DIGESTS = {
     7: "3f7e06b1de8d6b08922e162d996b30a0497412bf2dfaac7a1fff5afc83b41616",
 }
 
+# the same at --max-level 12, as written when each bracket went through
+# generic sparse products and inverses; the Steinberg closed form must
+# reproduce them
+TOWER_LEVEL12_DIGESTS = {
+    100: "d6c872282a0e6e06330869d21727ebbfb05ff5ce0057293410d8f0ff5f5c3a01",
+    7: "7249d1009b8fb8df06f7b4498bd4f224a8f6d61fefe0944179a8acf69da51a8d",
+}
+
 
 def _batteries():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_checks.py"
@@ -73,6 +81,11 @@ def test_tower_report_at_level_6_is_byte_identical(tmp_path, capsys):
 def test_tower_report_at_level_8_is_byte_identical(tmp_path, capsys):
     for order_powers, digest in TOWER_LEVEL8_DIGESTS.items():
         assert _tower_digest(tmp_path, capsys, 8, order_powers) == digest
+
+
+def test_tower_report_at_level_12_is_byte_identical(tmp_path, capsys):
+    for order_powers, digest in TOWER_LEVEL12_DIGESTS.items():
+        assert _tower_digest(tmp_path, capsys, 12, order_powers) == digest
 
 
 # sha256 of `verify kernel --u1 "x1 x2" --u2 "x1 x2" --samples 100 --max-len 24

@@ -7,13 +7,11 @@ from commtower.intmat import (
     IntMatrix,
     as_elementary,
     elementary,
+    elementary_commutator,
     evaluate_word,
     from_entries,
     identity,
     matmul,
-    sparse_commutator,
-    sparse_inverse,
-    sparse_mul,
     unitriangular_inverse,
 )
 from commtower.words import parse_word, reduce_word
@@ -133,31 +131,31 @@ def _sparse(m):
             for i in range(m.dim) for j in range(i + 1, m.dim) if m.rows[i][j]}
 
 
-def sparse_unitriangular_pair_st(max_dim):
-    # mostly zero and small entries, so products cancel and the sparse
-    # results must drop the zeros they produce
-    entry = st.one_of(st.just(0), st.integers(min_value=-2, max_value=2),
-                      st.integers(min_value=-(2 ** 70), max_value=2 ** 70))
-
-    def pair(dim):
-        n_entries = dim * (dim - 1) // 2
-        upper = st.lists(entry, min_size=n_entries, max_size=n_entries).map(
-            lambda vals: _fill_upper(dim, vals))
-        return st.tuples(upper, upper)
-    return st.integers(min_value=1, max_value=max_dim).flatmap(pair)
+COEFFICIENT_ST = st.builds(lambda m, s: m * s,
+                           st.sampled_from([1, 2, 3, 2 ** 70]),
+                           st.sampled_from([1, -1]))
 
 
-@given(sparse_unitriangular_pair_st(6))
-def test_sparse_arithmetic_matches_dense(pair):
-    a, b = pair
-    sa, sb = _sparse(a), _sparse(b)
-    assert from_entries(a.dim, sa.items()) == a
-    assert sparse_mul(sa, sb) == _sparse(matmul(a, b))
-    assert sparse_inverse(sa) == _sparse(unitriangular_inverse(a))
+@given(st.data())
+def test_elementary_commutator_matches_dense(data):
+    dim = data.draw(st.integers(min_value=2, max_value=8))
+    every = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    ka = data.draw(st.sampled_from(every))
+    # the second slot is often one that meets the first (a shared row or
+    # column, or an end at the other's start), where the bracket is not
+    # simply the identity
+    near = [k for k in every if k != ka and set(k) & set(ka)]
+    kb = data.draw(st.one_of(st.sampled_from(near or [ka]), st.sampled_from(every)))
+    sa, sb = {ka: data.draw(COEFFICIENT_ST)}, {kb: data.draw(COEFFICIENT_ST)}
+    a, b = from_entries(dim, sa.items()), from_entries(dim, sb.items())
+    assert _sparse(a) == sa
     inv_a, inv_b = unitriangular_inverse(a), unitriangular_inverse(b)
-    bracket = matmul(matmul(inv_a, inv_b), matmul(a, b))
-    assert sparse_commutator(sa, sb) == _sparse(bracket)
-    assert sparse_commutator(sa, sparse_mul(sa, sa)) == {}
+    # both orders, so each meeting pair is met as j == k and as l == i
+    assert elementary_commutator(sa, sb) == \
+        _sparse(matmul(matmul(inv_a, inv_b), matmul(a, b)))
+    assert elementary_commutator(sb, sa) == \
+        _sparse(matmul(matmul(inv_b, inv_a), matmul(b, a)))
+    assert elementary_commutator(sa, {}) == elementary_commutator({}, sb) == {}
 
 
 def test_from_entries_rejects_slots_off_the_upper_triangle():

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from commtower import tower
 from commtower.intmat import (
     elementary,
+    elementary_commutator,
     evaluate_word,
     from_entries,
     identity,
     matmul,
-    sparse_commutator,
 )
 from commtower.tower import (
     TowerLevel,
@@ -115,6 +115,24 @@ def test_length_law_fails_when_blocks_cancel(monkeypatch):
         monkeypatch.setattr(tower, "_blocks",
                             lambda i, block=block: (block, (-2, -1, 2, 1)))
         assert not doubling_is_cancellation_free(0)
+
+
+def test_length_law_checks_each_generator_on_its_own(monkeypatch):
+    honest = ((-1, -2, 1, 2), (-2, -1, 2, 1))
+    # blocks that break one condition each, in either position: not reduced
+    # at each inner junction, the wrong length, a letter outside x1's children
+    for block in ((1, -1, 2, 2), (-1, -2, 2, 2), (-1, -2, 1, -1), (-1, -2, -1),
+                  (-1, -2, 1, 2, 2), (-1, -2, 1, 3)):
+        for blocks in ((block, honest[1]), (honest[0], block)):
+            monkeypatch.setattr(tower, "_blocks", lambda i, b=blocks: b)
+            assert not doubling_is_cancellation_free(0)
+    # a reduced block over the right alphabet that cancels against itself:
+    # x1 x1 (or X1 X1) doubles to ... x2 X1 x1 x2 ...
+    for blocks in (((1, 2, 2, -1), honest[1]), (honest[0], (1, 2, 2, -1))):
+        monkeypatch.setattr(tower, "_blocks", lambda i, b=blocks: b)
+        assert not doubling_is_cancellation_free(0)
+    with pytest.raises(ValueError, match="not freely reduced"):
+        doubling_map(0, parse_word("X1 X1", 1))
 
 
 def test_seed_word_abelianizes_to_zero():
@@ -330,7 +348,16 @@ def test_sparse_relator_brackets_match_dense_brackets():
             dense_s = from_entries(dim, s.items())
             for i, image in images.items():
                 dense = evaluate_word({1: dense_s, 2: assignment[i]}, bracket)
-                assert from_entries(dim, sparse_commutator(s, image).items()) == dense
+                assert from_entries(dim, elementary_commutator(s, image).items()) == dense
+
+
+def test_brackets_reject_images_with_two_entries():
+    two = {(1, 2): 1, (2, 3): 1}
+    for a, b in ((two, {(2, 3): 1}), ({(1, 2): 1}, two), (two, {})):
+        with pytest.raises(ValueError, match="at most one entry"):
+            elementary_commutator(a, b)
+    with pytest.raises(ValueError, match="at most one entry"):
+        pull_back({1: two, 2: {(3, 4): 1}})
 
 
 def test_pull_back_follows_the_steinberg_relation():
