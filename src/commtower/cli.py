@@ -40,6 +40,34 @@ from .freeprod import (
 from .words import parse_word, random_reduced_word, word_str
 
 
+class _Bounded:
+    """argparse ``type=`` for an integer in [low, high], None for no bound."""
+
+    __name__ = "int"  # argparse reports "invalid int value: 'abc'"
+
+    def __init__(self, low: Optional[int], high: Optional[int] = None):
+        self.low, self.high = low, high
+
+    def __call__(self, text: str) -> int:
+        value = int(text)
+        if self.low is not None and value < self.low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {self.low}, got {value}")
+        if self.high is not None and value > self.high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {self.high}, got {value}")
+        return value
+
+
+def _letters(text: str) -> str:
+    """argparse ``type=`` refusing a word longer than _EQ_LETTERS_CAP."""
+    letters = len(text.replace("|", " ").split())
+    if letters > _EQ_LETTERS_CAP:
+        raise argparse.ArgumentTypeError(
+            f"must have at most {_EQ_LETTERS_CAP} letters, got {letters}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
@@ -58,23 +86,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     vt = vsub.add_parser("tower", parents=[common],
                          help="matrix representation checks per level")
-    vt.add_argument("--max-level", type=int, required=True)
-    vt.add_argument("--order-powers", type=int, default=100)
+    vt.add_argument("--max-level", type=_Bounded(1, _CAPS["max_level"]),
+                    required=True)
+    vt.add_argument("--order-powers", type=_Bounded(1), default=100)
 
     vk = vsub.add_parser("kernel", parents=[common],
                          help="kernel basis and rewriting checks")
     vk.add_argument("--u1", required=True, help="factor-one word, x-grammar")
     vk.add_argument("--u2", required=True, help="factor-two word, x-grammar")
-    vk.add_argument("--rank1", type=int, default=2)
-    vk.add_argument("--rank2", type=int, default=2)
-    vk.add_argument("--samples", type=int, required=True)
-    vk.add_argument("--max-len", type=int, required=True,
+    vk.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
+    vk.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
+    vk.add_argument("--samples", type=_Bounded(1), required=True)
+    # random_kernel_word regenerates until its length fits, and the shortest
+    # nontrivial kernel word is a 4-letter commutator
+    vk.add_argument("--max-len", type=_Bounded(4), required=True,
                     help="length cap for sampled kernel words")
     vk.add_argument("--seed", type=int, required=True)
-    vk.add_argument("--pair-len", type=int, default=6,
+    vk.add_argument("--pair-len", type=_Bounded(1, _CAPS["pair_len"]),
+                    default=6,
                     help="length cap for the rewritten commutator components")
-    vk.add_argument("--oracle-degree", type=int, default=8)
-    vk.add_argument("--oracle-seeds", type=int, default=20)
+    vk.add_argument("--oracle-degree",
+                    type=_Bounded(2, _CAPS["oracle_degree"]), default=8)
+    vk.add_argument("--oracle-seeds",
+                    type=_Bounded(1, _CAPS["oracle_seeds"]), default=20)
 
     scan = top.add_parser("scan", help="run an empirical scan")
     ssub = scan.add_subparsers(dest="subcommand", required=True)
@@ -82,17 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pairs commuting with their commutator")
     sc.add_argument("--u1", required=True)
     sc.add_argument("--u2", required=True)
-    sc.add_argument("--rank1", type=int, default=2)
-    sc.add_argument("--rank2", type=int, default=2)
-    sc.add_argument("--max-len", type=int, required=True)
-    sc.add_argument("--budget", type=int, required=True)
+    sc.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
+    sc.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
+    sc.add_argument("--max-len", type=_Bounded(1), required=True)
+    sc.add_argument("--budget", type=_Bounded(0), required=True)
     sc.add_argument("--seed", type=int, required=True)
 
     check = top.add_parser("check", help="structural checks")
     csub = check.add_subparsers(dest="subcommand", required=True)
     cr = csub.add_parser("rn-split", parents=[common],
                          help="split a level relator over two free factors")
-    cr.add_argument("--level", type=int, required=True)
+    # no lower bound: the report says why levels below 2 do not split
+    cr.add_argument("--level", type=_Bounded(None, _CAPS["level"]), required=True)
 
     lp = top.add_parser("lp", help="localized-group demonstrations")
     lsub = lp.add_subparsers(dest="subcommand", required=True)
@@ -103,10 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decide equality in the quotient group")
     eq.add_argument("--u1", required=True)
     eq.add_argument("--u2", required=True)
-    eq.add_argument("--rank1", type=int, default=2)
-    eq.add_argument("--rank2", type=int, default=2)
-    eq.add_argument("--lhs", required=True, help="free-product word grammar")
-    eq.add_argument("--rhs", required=True, help="free-product word grammar")
+    eq.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
+    eq.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
+    eq.add_argument("--lhs", type=_letters, required=True,
+                    help="free-product word grammar")
+    eq.add_argument("--rhs", type=_letters, required=True,
+                    help="free-product word grammar")
 
     return parser
 
@@ -227,6 +264,16 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> dict:
 
 
 def _cmd_scan_commute(args: argparse.Namespace) -> dict:
+    # count the words the exhaustive phase would list before listing any
+    letters = 2 * (args.rank1 + args.rank2)
+    count, grade = 1, letters
+    for _ in range(args.max_len):
+        count += grade
+        if count > _SCAN_WORDS_CAP:
+            raise ValueError(f"--max-len {args.max_len} enumerates more than "
+                             f"{_SCAN_WORDS_CAP} words at rank "
+                             f"{args.rank1}+{args.rank2}")
+        grade *= letters - 1
     ctx = _context(args)
     report = freeprod.commutation_scan(
         ctx, max_len=args.max_len, budget=args.budget, seed=args.seed)
@@ -342,9 +389,6 @@ _HANDLERS = {
     ("eq", None): _cmd_eq,
 }
 
-_POSITIVE_FLAGS = ("max_level", "order_powers", "samples", "max_len",
-                   "pair_len", "oracle_seeds", "rank1", "rank2")
-
 # Highest value of each flag (peak memory and time, CPython 3.11).
 _CAPS = {
     "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
@@ -390,62 +434,16 @@ _EQ_LETTERS_CAP = 4096
 _SCAN_WORDS_CAP = 200_000
 
 
-def _check_bounds(args: argparse.Namespace) -> Optional[str]:
-    for name in _POSITIVE_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            return f"--{name.replace('_', '-')} must be positive, got {value}"
-    for name, cap in _CAPS.items():
-        value = getattr(args, name, None)
-        if value is not None and value > cap:
-            return f"--{name.replace('_', '-')} must be at most {cap}, got {value}"
-    if args.command == "verify" and args.subcommand == "kernel" \
-            and args.max_len < 4:
-        # random_kernel_word regenerates until its length fits, and the
-        # shortest nontrivial kernel word is a 4-letter commutator
-        return f"--max-len must be at least 4 for verify kernel, got {args.max_len}"
-    if args.command == "scan":
-        letters = 2 * (args.rank1 + args.rank2)
-        count, grade = 1, letters
-        for _ in range(args.max_len):
-            count += grade
-            if count > _SCAN_WORDS_CAP:
-                return (f"--max-len {args.max_len} enumerates more than "
-                        f"{_SCAN_WORDS_CAP} words at rank "
-                        f"{args.rank1}+{args.rank2}")
-            grade *= letters - 1
-    if args.command == "eq":
-        for flag in ("lhs", "rhs"):
-            letters = len(getattr(args, flag).replace("|", " ").split())
-            if letters > _EQ_LETTERS_CAP:
-                return (f"--{flag} must have at most {_EQ_LETTERS_CAP} "
-                        f"letters, got {letters}")
-    budget = getattr(args, "budget", None)
-    if budget is not None and budget < 0:
-        return f"--budget must be nonnegative, got {budget}"
-    degree = getattr(args, "oracle_degree", None)
-    if degree is not None and degree < 2:
-        return f"--oracle-degree must be at least 2, got {degree}"
-    return None
+_PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    key = (args.command, getattr(args, "subcommand", None))
-    handler = _HANDLERS.get(key)
-    if handler is None:
-        print(f"unknown command {key}", file=sys.stderr)
-        return 2
-    problem = _check_bounds(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-
+    handler = _HANDLERS[args.command, getattr(args, "subcommand", None)]
     try:
         report = handler(args)
     except ValueError as exc:

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -148,10 +152,11 @@ def test_check_rn_split(capsys):
     assert report["relator_length"] == 16
     assert report["ctx"]["u1"] == "X1 X2 x1 x2"
 
-    code, report = run_json(capsys, ["check", "rn-split", "--level", "1"])
-    assert code == 1
-    assert report["ok"] is False
-    assert "error" in report
+    for level in ("1", "0", "-1"):                     # a report, not exit 2
+        code, report = run_json(capsys, ["check", "rn-split", "--level", level])
+        assert code == 1
+        assert report["ok"] is False
+        assert report["error"] == "splitting needs n >= 2"
 
 
 def test_lp_demo(capsys):
@@ -231,7 +236,7 @@ def test_usage_errors(capsys):
                          "--samples", "2", "--max-len", "8", "--seed", "1",
                          flag, str(value)]) == 2
             err = capsys.readouterr().err
-            assert f"{flag} must be at most {cap}, got {value}" in err
+            assert f"argument {flag}: must be at most {cap}, got {value}" in err
 
 
 # Integer options with no cap in cli._CAPS, each with what it costs.
@@ -266,13 +271,17 @@ BASE_ARGV = {
 
 
 def _int_options(parser, path=()):
-    """(command path, option string, dest) of every type=int option."""
+    """(command path, option string, dest, lower bound, upper bound) of every
+    integer option, with None for a missing bound."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 yield from _int_options(sub, path + (name,))
         elif action.type is int:
-            yield path, action.option_strings[0], action.dest
+            yield path, action.option_strings[0], action.dest, None, None
+        elif isinstance(action.type, cli._Bounded):
+            yield (path, action.option_strings[0], action.dest,
+                   action.type.low, action.type.high)
 
 
 @pytest.fixture
@@ -285,18 +294,52 @@ def no_handlers(monkeypatch):
 
 def test_every_int_option_is_capped_or_allowed(capsys, no_handlers):
     options = list(_int_options(cli.build_parser()))
-    assert {path for path, _, _ in options} <= set(BASE_ARGV)
-    assert {dest for _, _, dest in options} >= set(cli._CAPS)
-    for path, flag, dest in options:
+    assert {option[0] for option in options} <= set(BASE_ARGV)
+    assert {option[2] for option in options} >= set(cli._CAPS)
+    for path, flag, dest, _, cap in options:
         if dest in UNCAPPED:
-            assert dest not in cli._CAPS
+            assert dest not in cli._CAPS and cap is None
             continue
         assert dest in cli._CAPS, f"{' '.join(path)} {flag} has no cap"
-        cap = cli._CAPS[dest]
+        assert cap == cli._CAPS[dest]
         for value in (cap + 1, 10 ** 9):
             assert main([*path, *BASE_ARGV[path], flag, str(value)]) == 2
             err = capsys.readouterr().err
-            assert f"{flag} must be at most {cap}, got {value}" in err
+            assert f"argument {flag}: must be at most {cap}, got {value}" in err
+
+
+# Lower bound of each bounded option; check rn-split --level has none, since
+# levels below 2 get a report saying why they do not split.
+LOWER_BOUNDS = {
+    ("verify", "tower"): {"--max-level": 1, "--order-powers": 1},
+    ("verify", "kernel"): {"--rank1": 1, "--rank2": 1, "--samples": 1,
+                           "--max-len": 4, "--pair-len": 1,
+                           "--oracle-degree": 2, "--oracle-seeds": 1},
+    ("scan", "commute"): {"--rank1": 1, "--rank2": 1, "--max-len": 1,
+                          "--budget": 0},
+    ("eq",): {"--rank1": 1, "--rank2": 1},
+}
+
+
+def test_every_lower_bound_is_a_usage_error(capsys, no_handlers):
+    found = {}
+    for path, flag, _, low, _ in _int_options(cli.build_parser()):
+        if low is not None:
+            found.setdefault(path, {})[flag] = low
+    assert found == LOWER_BOUNDS
+    for path, bounds in LOWER_BOUNDS.items():
+        for flag, low in bounds.items():
+            assert main([*path, *BASE_ARGV[path], flag, str(low - 1)]) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be at least {low}, got {low - 1}" \
+                in err
+
+
+def test_non_integer_text_is_an_invalid_int(capsys, no_handlers):
+    for path, flag, _, _, _ in _int_options(cli.build_parser()):
+        assert main([*path, *BASE_ARGV[path], flag, "abc"]) == 2
+        assert f"argument {flag}: invalid int value: 'abc'" in \
+            capsys.readouterr().err
 
 
 def test_eq_rejects_long_words_before_parsing(capsys, no_handlers):
@@ -304,8 +347,8 @@ def test_eq_rejects_long_words_before_parsing(capsys, no_handlers):
     for flag, text in (("--lhs", " ".join(["a c"] * (cap // 2)) + " | a"),
                        ("--rhs", "z9 " * (cap + 1))):
         assert main(["eq", *BASE_ARGV[("eq",)], flag, text]) == 2
-        assert f"{flag} must have at most {cap} letters, got {cap + 1}" in \
-            capsys.readouterr().err
+        assert f"argument {flag}: must have at most {cap} letters, got " \
+            f"{cap + 1}" in capsys.readouterr().err
 
 
 def _build_with_one_free_seed(bad_seed):
@@ -427,5 +470,44 @@ def test_reports_are_deterministic(capsys):
     ]
     for argv in commands:
         first = run(capsys, list(argv))
+        assert main(["verify", "tower", "--max-level", "0"]) == 2  # in between
+        capsys.readouterr()
         second = run(capsys, list(argv))
         assert first == second
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["verify", "tower", "--max-level", "2"]) == 0
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    kernel = ["verify", "kernel", "--u1", "x1", "--u2", "x1", "--samples", "2",
+              "--max-len", "8", "--seed", "1"]
+    code, report = run_json(capsys, kernel + ["--oracle-seeds", "3"])
+    assert code == 0 and report["config"]["oracle_seeds"] == 3
+    code, report = run_json(capsys, kernel)
+    assert code == 0 and report["config"]["oracle_seeds"] == 20
+
+
+def test_module_entry_point(capsys):
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "commtower", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    argv = ["verify", "tower", "--max-level", "2", "--format", "json"]
+    done = run_module(*argv)
+    assert done.returncode == 0
+    assert done.stdout == run(capsys, argv)[1]
+
+    done = run_module("verify", "tower", "--max-level", "18")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "argument --max-level: must be at most 17, got 18" in done.stderr
