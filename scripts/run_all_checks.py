@@ -12,6 +12,9 @@ import io
 import pathlib
 import sys
 
+# the checkout's package first, so the script runs without an install
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
 from commtower.cli import main as cli_main
 
 

@@ -11,6 +11,11 @@ The sign comes from the sparse pulled-back seed image and |seed| from the
 """
 
 import argparse
+import pathlib
+import sys
+
+# the checkout's package first, so the script runs without an install
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from commtower.tower import level_rank, verify_representation
 

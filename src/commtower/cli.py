@@ -397,25 +397,27 @@ _CAPS = {
     # each bracket is O(1), but the top-level images and the _blocks cache
     # still double per level in memory
     "max_level": 17,
-    # An oracle build takes about 0.12 ms at degree 64 (0.05 ms at 8).  The
+    # An oracle build takes about 0.15 ms at degree 64 (0.05 ms at 8).  The
     # seeds are applied as one product permutation of degree x seeds points,
-    # one C-level tuple gather per letter, so verify kernel --samples 200
-    # --max-len 24 with 20 oracle seeds takes 0.43-0.47 s at 64 (0.16-0.18 s
-    # at 8), at 18 MB peak RSS
+    # one C-level bytes.translate per letter and block of at most 256 points;
+    # a seed's random images close no shorter run of points, so the cap must
+    # stay at most 256.  verify kernel --u1 x1 --u2 x1 --samples 200
+    # --max-len 24 --seed 7 with 20 oracle seeds takes 0.21-0.26 s at 64
+    # (0.16 s at 8), at 18 MB peak RSS
     "oracle_degree": 64,
-    # the product oracle grows linearly in the seeds: verify kernel --samples
-    # 200 --max-len 24 --oracle-degree 64 with 200 seeds takes 2.6-3.4 s at
-    # 22 MB peak RSS (100: 1.5 s, 19 MB; 500: 9.0 s, 31 MB)
+    # the product oracle grows linearly in the seeds: that run at
+    # --oracle-degree 64 with 200 seeds takes 0.8-1.1 s at 22 MB peak RSS
+    # (100: 0.6-0.8 s, 19 MB; 500, in process: 2.2 s, 30 MB)
     "oracle_seeds": 200,
     # each rewritten commutator pair draws two words of up to --pair-len
     # letters: verify kernel --samples 200 --max-len 24 --pair-len 1024
     # takes 4.6-5.7 s at 22 MB peak RSS (256: 1.7 s, 18 MB)
     "pair_len": 1024,
     # memory grows linearly in the ranks, through the oracle images on every
-    # generator: verify kernel --rank1 32 --rank2 32 --samples 200 --max-len
-    # 24 --oracle-degree 64 --oracle-seeds 200 takes 3.7-4.2 s at 95 MB peak
-    # RSS (64: 4.7 s, 173 MB; 128: 6.4 s, 330 MB), and 0.29 s at 18 MB with
-    # the default oracle; scan commute and eq stay under 0.1 s and 18 MB at 64
+    # generator: that run with --rank1 32 --rank2 32 --oracle-degree 64
+    # --oracle-seeds 200 takes 1.5-2.1 s at 96 MB peak RSS (in process, 64:
+    # 2.5 s, 176 MB; 128: 3.3 s, 335 MB), and 0.16 s at 18 MB with the
+    # default oracle; scan commute and eq stay under 0.1 s and 18 MB at 64
     "rank1": 32,
     "rank2": 32,
 }

@@ -30,7 +30,6 @@ whole apparatus to hunt for pairs that commute with their commutator.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -566,6 +565,32 @@ def _centralizer_perm(groups: dict[int, list[list[int]]],
     return tuple(out)
 
 
+def _closed_blocks(perms: Sequence[tuple[int, ...]],
+                   degree: int) -> list[range]:
+    """The points 0..degree-1 as runs of at most 256 consecutive points that
+    every permutation of ``perms`` maps onto itself.  The finest such runs
+    end after each point i that no permutation sends a point <= i beyond;
+    they are packed greedily.
+
+    Raises ``ValueError`` if one of the finest runs is longer than 256.
+    """
+    blocks, first, cut = [], 0, 0
+    # zipped with the identity, so every point counts even with no images
+    for i, top in enumerate(itertools.accumulate(
+            map(max, zip(range(degree), *perms)), max)):
+        if top == i:
+            if i + 1 - cut > 256:
+                raise ValueError(
+                    f"oracle images move points {cut}..{i} as one run of more "
+                    "than 256 points")
+            if i + 1 - first > 256:
+                blocks.append(range(first, cut))
+                first = cut
+            cut = i + 1
+    blocks.append(range(first, degree))
+    return blocks
+
+
 @dataclass(frozen=True)
 class FiniteQuotientOracle:
     """A seeded homomorphism G -> Sym(degree) used to refute equalities.
@@ -587,24 +612,36 @@ class FiniteQuotientOracle:
     images2: tuple[tuple[int, ...], ...]
     # always 0: read only by the benchmark tracer (perfbench/spans.py)
     resamples: int = 0
-    # signed letter of F1 * F2, as in SyllableWord -> itemgetter(*p) of its
-    # permutation p: itemgetter(*q)(out) == _perm_mul(q, out)
-    _letter_getters: dict[int, operator.itemgetter] = field(
+    # per block of points (_closed_blocks): its points, the bytes 0..size-1,
+    # and per signed letter of F1 * F2, as in SyllableWord, the 256-byte
+    # bytes.translate table of its permutation on the block, shifted to 0
+    _blocks: tuple[tuple, ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree < 2:
-            # itemgetter of one point returns that point, not a 1-tuple
+            # Sym(1) is trivial, so an oracle of degree 1 refutes nothing
             raise ValueError("oracle degree must be at least 2")
-        perms = dict(enumerate(self.images1 + self.images2, 1))
+        images = self.images1 + self.images2
+        perms = dict(enumerate(images, 1))
         perms.update({-i: _perm_inv(p) for i, p in perms.items()})
-        object.__setattr__(self, "_letter_getters", {
-            let: operator.itemgetter(*p) for let, p in perms.items()})
+        blocks = []
+        for points in _closed_blocks(images, self.degree):
+            start, stop = points.start, points.stop
+            blocks.append((tuple(points), bytes(range(stop - start)), {
+                let: bytes(x - start for x in p[start:stop]).ljust(256, b"\0")
+                for let, p in perms.items()}))
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
     @classmethod
     def build(cls, ctx: GContext, degree: int, seed: int,
               # ignored: read only by the benchmark tracer (perfbench/spans.py)
               max_resamples: int = 8) -> "FiniteQuotientOracle":
+        """The oracle of ``seed`` on ``degree`` points, drawn as the class
+        docstring says.  It is applied in blocks of at most 256 points that
+        every image maps onto itself, so a degree above 256 raises
+        ``ValueError`` unless the images happen to split, which random ones
+        almost never do."""
         rng = random.Random(1_000_003 * seed + 7 * degree)
         images1 = tuple(_random_perm(rng, degree) for _ in range(ctx.rank1))
         groups = _cycles_by_length(_eval_word_perms(images1, ctx.u1, degree))
@@ -642,16 +679,20 @@ class FiniteQuotientOracle:
     def apply(self, w: SyllableWord) -> tuple[int, ...]:
         """The image of ``w``, as the tuple of the images of 0..degree-1.
 
-        The letters are read right to left, each one a single C-level
-        ``itemgetter`` call: ``getter_q(out)[i] = out[q[i]]``, so after the
-        letters p_1 ... p_n the tuple is ``i -> p_n[...p_1[i]]``, the same as
-        folding ``_perm_mul`` left to right.
+        Each block's points start as the bytes 0..size-1 and the letters are
+        read left to right, each one a single C-level ``bytes.translate``
+        call: ``b.translate(t)[i] = t[b[i]]``, so after the letters
+        p_1 ... p_n byte i is ``p_n[...p_1[i]]``, the same as folding
+        ``_perm_mul`` left to right.  Shifted back by the block's first
+        point, the blocks' bytes concatenate to the tuple.
         """
-        out = tuple(range(self.degree))
-        table = self._letter_getters
-        for let in reversed(w.letters):
-            out = table[let](out)
-        return out
+        letters = w.letters
+        out: list[int] = []
+        for points, b, tables in self._blocks:
+            for let in letters:
+                b = b.translate(tables[let])
+            out += b if points[0] == 0 else map(points.__getitem__, b)
+        return tuple(out)
 
     def distinguishes(self, x: SyllableWord, y: SyllableWord) -> bool:
         return self.apply(x) != self.apply(y)

@@ -318,12 +318,18 @@ def _coset_rep(cu: tuple, w: tuple[int, ...]) -> tuple[int, ...]:
             break
         p += 1
     r = p % m
-    if 2 * r < m:
+    if 2 * r == m:
+        # a tie: both candidates are conj^-1 followed by an uncancelled word
+        # of the same length, and those first differ at period[0] against
+        # power[0], so shortlex_key's letter order decides
+        a, b = period[0], power[0]
+        whole_periods = (abs(a), a < 0) < (abs(b), b < 0)
+    else:
+        whole_periods = 2 * r < m
+    # whether core^(s q) is the cancelling power, or core^(s (q + 1))
+    if whole_periods:
         return _join(conj_inv, v[p - r:])
-    if 2 * r > m:
-        return _join(conj_inv, power[:m - r] + v[p:])
-    return min(_join(conj_inv, v[p - r:]),
-               _join(conj_inv, power[:m - r] + v[p:]), key=shortlex_key)
+    return _join(conj_inv, power[:m - r] + v[p:])
 
 
 def shift_index(w: Word, offset: int, rank: int) -> Word:

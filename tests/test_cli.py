@@ -308,6 +308,12 @@ def test_every_int_option_is_capped_or_allowed(capsys, no_handlers):
             assert f"argument {flag}: must be at most {cap}, got {value}" in err
 
 
+def test_oracle_degree_cap_fits_one_translate_table():
+    # each seed's points must fit one 256-byte bytes.translate table: its
+    # random images keep no shorter run of points onto itself
+    assert cli._CAPS["oracle_degree"] <= 256
+
+
 # Lower bound of each bounded option; check rn-split --level has none, since
 # levels below 2 get a report saying why they do not split.
 LOWER_BOUNDS = {
@@ -397,15 +403,20 @@ def _per_oracle_counts(ctx, oracles, samples, max_len, seed, pair_len=6):
 
 def test_verify_kernel_counts_forced_refutations_like_each_oracle(
         monkeypatch, capsys):
-    for u, seed in (("x1 x2", 7), ("x1", 12)):
+    # at degree 64 the product's blocks hold 4 seeds each, so the free seed
+    # 17 is in its fifth and last block
+    for u, seed, degree, seeds, free in (("x1 x2", 7, 8, 5, 2),
+                                         ("x1", 12, 8, 5, 2),
+                                         ("x1 x2", 7, 64, 20, 17)):
         monkeypatch.setattr(FiniteQuotientOracle, "build",
-                            _build_with_one_free_seed(seed + 2))
+                            _build_with_one_free_seed(seed + free))
         code, report = run_json(capsys, [
             "verify", "kernel", "--u1", u, "--u2", u, "--samples", "40",
-            "--max-len", "16", "--seed", str(seed), "--oracle-seeds", "5"])
+            "--max-len", "16", "--seed", str(seed),
+            "--oracle-degree", str(degree), "--oracle-seeds", str(seeds)])
         ctx = GContext(2, 2, parse_word(u, 2), parse_word(u, 2))
-        oracles = [FiniteQuotientOracle.build(ctx, 8, seed + i)
-                   for i in range(5)]
+        oracles = [FiniteQuotientOracle.build(ctx, degree, seed + i)
+                   for i in range(seeds)]
         refutations, failures = _per_oracle_counts(ctx, oracles, 40, 16, seed)
         assert refutations > 0 and failures > 0
         assert code == 1

@@ -731,21 +731,26 @@ def test_oracle_is_homomorphism_on_samples():
             oracle.apply(x), oracle.apply(y))
 
 
-def test_oracle_apply_matches_literal_fold():
-    from commtower.freeprod import _eval_word_perms, _perm_mul
+def _literal_apply(oracle, x):
+    out = tuple(range(oracle.degree))
+    for factor, s in x.syllables:
+        images = oracle.images1 if factor == 1 else oracle.images2
+        out = _perm_mul(out, _eval_word_perms(images, s, oracle.degree))
+    return out
 
+
+def test_oracle_apply_matches_literal_fold():
     rng = random.Random(29)
-    ctx_31 = GContext(3, 1, fw("x1 x3", 3), fw("x1", 1))
-    for ctx in (ctx_single(), ctx_double(), ctx_31):
-        for degree, seed in ((5, 1), (6, 2), (8, 3)):
-            oracle = FiniteQuotientOracle.build(ctx, degree, seed)
+    for ctx in (ctx_single(), ctx_double(), ctx_31()):
+        oracles = [FiniteQuotientOracle.build(ctx, degree, seed)
+                   for degree, seed in ((5, 1), (6, 2), (8, 3))]
+        # 64 x 20 = 1280 points in five blocks
+        oracles.append(FiniteQuotientOracle.product(
+            [FiniteQuotientOracle.build(ctx, 64, 20 + i) for i in range(20)]))
+        for oracle in oracles:
             for _ in range(40):
                 x = random_syllable_word(rng, ctx.rank1, ctx.rank2, 16)
-                out = tuple(range(degree))
-                for factor, s in x.syllables:
-                    images = oracle.images1 if factor == 1 else oracle.images2
-                    out = _perm_mul(out, _eval_word_perms(images, s, degree))
-                assert oracle.apply(x) == out
+                assert oracle.apply(x) == _literal_apply(oracle, x)
 
 
 def _u1_image(oracle, ctx):
@@ -832,21 +837,38 @@ def _shifted_concat(oracles, w):
     return tuple(out)
 
 
-@given(st.integers(min_value=0, max_value=2 ** 32))
-def test_product_apply_is_shifted_concatenation(seed):
+@given(st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+def test_product_apply_is_shifted_concatenation(seed, many):
+    # many: 5-40 factors of odd degrees, so the product's 256-point blocks
+    # end off multiples of 256
     rng = random.Random(seed)
     rank1, rank2 = rng.randint(1, 3), rng.randint(1, 3)
     ctx = _rank_context(rank1, rank2)
-    oracles = [FiniteQuotientOracle.build(ctx, rng.randint(2, 11), seed + i)
-               if rng.random() < 0.5 else
-               _free_oracle(rng, rng.randint(2, 11), seed + i, rank1, rank2)
-               for i in range(rng.randint(1, 5))]
+    oracles = []
+    for i in range(rng.randint(5, 40) if many else rng.randint(1, 5)):
+        degree = rng.randrange(3, 65, 2) if many else rng.randint(2, 11)
+        oracles.append(
+            FiniteQuotientOracle.build(ctx, degree, seed + i)
+            if rng.random() < 0.5 else
+            _free_oracle(rng, degree, seed + i, rank1, rank2))
     product = FiniteQuotientOracle.product(oracles)
     assert product.degree == sum(o.degree for o in oracles)
     assert product.seed == oracles[0].seed
     for _ in range(5):
         x = random_syllable_word(rng, rank1, rank2, 16)
         assert product.apply(x) == _shifted_concat(oracles, x)
+
+
+def test_oracle_needs_blocks_of_at_most_256_points():
+    cycle = tuple(range(1, 300)) + (0,)
+    with pytest.raises(ValueError, match="more than 256 points"):
+        FiniteQuotientOracle(300, 0, (cycle,), (tuple(range(300)),))
+    # two 150-cycles, and a reflection of each half: two blocks
+    cycles = tuple(range(1, 150)) + (0,) + tuple(range(151, 300)) + (150,)
+    flips = tuple(range(149, -1, -1)) + tuple(range(299, 149, -1))
+    oracle = FiniteQuotientOracle(300, 0, (cycles,), (flips,))
+    x = sw("a a C a", 1, 1)
+    assert oracle.apply(x) == _literal_apply(oracle, x)
 
 
 def test_product_distinguishes_exactly_when_some_factor_does():

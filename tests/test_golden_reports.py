@@ -5,6 +5,9 @@ and says why in CHANGES.md."""
 
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from commtower.cli import main
@@ -63,6 +66,21 @@ def test_battery_reports_are_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == DIGESTS
+
+
+def test_scripts_run_from_a_checkout(tmp_path):
+    # as the README runs them: no install and no PYTHONPATH
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    outdir = tmp_path / "reports"
+    for script, *argv in (["run_all_checks.py", "--outdir", str(outdir)],
+                          ["sign_table.py", "--max-level", "3"]):
+        done = subprocess.run([sys.executable, str(scripts / script), *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+    assert {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in outdir.glob("*.json")} == DIGESTS
 
 
 def _tower_digest(tmp_path, capsys, level, order_powers):

@@ -333,20 +333,19 @@ def _coset_min_brute(u, word, rank):
     return word
 
 
-def _coset_rep_literal(u, word):
-    # every candidate u^k w of the window multiplied out and keyed
+def _coset_window(u, word):
+    # every candidate u^k w of the window, multiplied out
     core, conj = cyclic_reduce(u)
     bound = (2 * len(word) + 2 * len(conj)) // len(core) + 2
-    best = None
-    best_key = None
     acc = u ** (-bound)
     for _ in range(-bound, bound + 1):
-        cand = acc * word
-        key = shortlex_key(cand.letters)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+        yield acc * word
         acc = acc * u
-    return best
+
+
+def _coset_rep_literal(u, word):
+    # the window's shortlex minimum
+    return min(_coset_window(u, word), key=lambda c: shortlex_key(c.letters))
 
 
 def test_coset_rep_examples():
@@ -435,30 +434,28 @@ def test_coset_rep_matches_literal_window_on_long_prefixes():
     assert ties > 0
 
 
-def test_coset_rep_builds_at_most_two_candidates(monkeypatch):
-    # one junction gives v = conj w, and one more builds each candidate
-    # conj^-1 core^k v; only a tie keys its two candidates
-    joins, keys = [], []
-    raw_join, raw_key = words._join, words.shortlex_key
+def test_coset_rep_builds_one_candidate(monkeypatch):
+    # one junction gives v = conj w, and one more builds the representative
+    # conj^-1 core^k v: a tie is settled by the two candidates' first
+    # differing letters, so its other candidate is never built
+    joins = []
+    raw_join = words._join
 
     def counting_join(a, b):
         joins.append(b)
         return raw_join(a, b)
 
-    def counting_key(v):
-        keys.append(v)
-        return raw_key(v)
-
     monkeypatch.setattr(words, "_join", counting_join)
-    monkeypatch.setattr(words, "shortlex_key", counting_key)
     ties = 0
     for u, word in _seeded_pairs(23, 600, 60):
         joins.clear()
-        keys.clear()
-        coset_rep(u, word)
-        assert len(joins) - 1 <= 2
-        assert len(keys) <= 2
-        ties += len(keys) == 2
+        rep = coset_rep(u, word)
+        assert len(joins) == 2
+        # a tie: two shortest candidates of equal length in the window
+        shortest = sorted(len(c) for c in _coset_window(u, word))[:2]
+        if shortest[0] == shortest[1]:
+            ties += 1
+            assert rep == _coset_rep_literal(u, word)
     assert ties > 0
 
 
