@@ -2,7 +2,8 @@
 """Run the full verification battery through the CLI and collect reports.
 
 Writes one JSON report per command into the given output directory (default
-./reports) and prints a summary table.  Returns a nonzero exit status if any
+./reports) and prints a summary table with each battery's exit code and wall
+time.  Returns a nonzero exit status if any
 battery reports a violation.
 """
 
@@ -11,6 +12,7 @@ import contextlib
 import io
 import pathlib
 import sys
+import time
 
 # the checkout's package first, so the script runs without an install
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
@@ -52,10 +54,12 @@ def main() -> int:
     worst = 0
     for name, argv in batteries(args.seed, args.max_level):
         path = outdir / f"{name}.json"
+        start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main(argv + ["--format", "json", "--out", str(path)])
+        elapsed = time.perf_counter() - start
         status = "PASS" if code == 0 else "FAIL"
-        print(f"{status}  {name}  (exit {code})  -> {path}")
+        print(f"{status}  {name}  (exit {code}, {elapsed:.2f} s)  -> {path}")
         worst = max(worst, code)
     return worst
 

@@ -389,7 +389,7 @@ _HANDLERS = {
     ("eq", None): _cmd_eq,
 }
 
-# Highest value of each flag (peak memory and time, CPython 3.11).
+# Highest value of each flag (peak memory and time, CPython 3.11, 2-core VM).
 _CAPS = {
     "level": 11,      # seed_word(11) peaks at about 136 MB, x4 per level
     # verify tower --max-level 17 runs in 1.5-1.9 s wall at 116 MB peak RSS
@@ -402,22 +402,22 @@ _CAPS = {
     # one C-level bytes.translate per letter and block of at most 256 points;
     # a seed's random images close no shorter run of points, so the cap must
     # stay at most 256.  verify kernel --u1 x1 --u2 x1 --samples 200
-    # --max-len 24 --seed 7 with 20 oracle seeds takes 0.21-0.26 s at 64
-    # (0.16 s at 8), at 18 MB peak RSS
+    # --max-len 24 --seed 7 with 20 oracle seeds takes 0.21-0.23 s at 64
+    # (0.15-0.24 s at 8), at 18 MB peak RSS
     "oracle_degree": 64,
     # the product oracle grows linearly in the seeds: that run at
-    # --oracle-degree 64 with 200 seeds takes 0.8-1.1 s at 22 MB peak RSS
-    # (100: 0.6-0.8 s, 19 MB; 500, in process: 2.2 s, 30 MB)
+    # --oracle-degree 64 with 200 seeds takes 0.9-1.0 s at 22 MB peak RSS
+    # (100: 0.5-0.6 s, 20 MB; 500, in process: 2.0-2.4 s, 30 MB)
     "oracle_seeds": 200,
     # each rewritten commutator pair draws two words of up to --pair-len
-    # letters: verify kernel --samples 200 --max-len 24 --pair-len 1024
-    # takes 4.6-5.7 s at 22 MB peak RSS (256: 1.7 s, 18 MB)
+    # letters: that run at --pair-len 1024 takes 1.1 s at 23 MB peak RSS
+    # (256: 0.4-0.6 s, 18 MB)
     "pair_len": 1024,
     # memory grows linearly in the ranks, through the oracle images on every
     # generator: that run with --rank1 32 --rank2 32 --oracle-degree 64
-    # --oracle-seeds 200 takes 1.5-2.1 s at 96 MB peak RSS (in process, 64:
-    # 2.5 s, 176 MB; 128: 3.3 s, 335 MB), and 0.16 s at 18 MB with the
-    # default oracle; scan commute and eq stay under 0.1 s and 18 MB at 64
+    # --oracle-seeds 200 takes 1.5-1.6 s at 96 MB peak RSS (in process, 64:
+    # 2.0-2.2 s, 176 MB; 128: 4.0 s, 335 MB), and 0.19-0.26 s at 19 MB with
+    # the default oracle; scan commute and eq stay under 0.1 s and 18 MB at 64
     "rank1": 32,
     "rank2": 32,
 }

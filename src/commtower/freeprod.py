@@ -152,6 +152,36 @@ def _push(stack: list[int], letters: Sequence[int]) -> None:
     stack.extend(letters[i:])
 
 
+def _product(rank1: int, rank2: int,
+             parts: Iterable[Sequence[int]]) -> SyllableWord:
+    """The product of reduced letter tuples, pushed on one stack."""
+    out: list[int] = []
+    for part in parts:
+        _push(out, part)
+    return _sp(rank1, rank2, tuple(out))
+
+
+def _inv(letters: Sequence[int]) -> tuple[int, ...]:
+    return tuple([-let for let in reversed(letters)])
+
+
+def _comm(x: Sequence[int], y: Sequence[int]) -> list[Sequence[int]]:
+    """The parts x^-1, y^-1, x, y of the commutator [x, y]."""
+    return [_inv(x), _inv(y), x, y]
+
+
+def _letters(rank1: int, rank2: int, factor: int, w: Word) -> Sequence[int]:
+    """The letters of syllable ``w`` in F1 * F2, its tag and rank checked."""
+    if factor != 1 and factor != 2:
+        raise ValueError(f"factor tag must be 1 or 2, got {factor}")
+    rank = rank1 if factor == 1 else rank2
+    if w.rank != rank:
+        raise RankMismatchError(
+            f"factor-{factor} syllable has rank {w.rank}, expected {rank}")
+    return w.letters if factor == 1 else tuple(
+        [let + rank1 if let > 0 else let - rank1 for let in w.letters])
+
+
 def sp_empty(rank1: int, rank2: int) -> SyllableWord:
     return _sp(rank1, rank2, ())
 
@@ -161,17 +191,8 @@ def sp_reduce(rank1: int, rank2: int,
     """Multiply out raw syllables, which may be empty or share a factor with
     their neighbour: one free reduction of their letters, once each raw
     syllable's factor tag and rank are checked."""
-    ranks = (None, rank1, rank2)
-    out: list[int] = []
-    for factor, w in raw:
-        if factor != 1 and factor != 2:
-            raise ValueError(f"factor tag must be 1 or 2, got {factor}")
-        if w.rank != ranks[factor]:
-            raise RankMismatchError(f"factor-{factor} syllable has rank "
-                                    f"{w.rank}, expected {ranks[factor]}")
-        _push(out, w.letters if factor == 1 else
-              [let + rank1 if let > 0 else let - rank1 for let in w.letters])
-    return _sp(rank1, rank2, tuple(out))
+    return _product(rank1, rank2, [_letters(rank1, rank2, factor, w)
+                                   for factor, w in raw])
 
 
 def sp_multiply(*ws: SyllableWord) -> SyllableWord:
@@ -187,7 +208,7 @@ def sp_multiply(*ws: SyllableWord) -> SyllableWord:
 
 
 def sp_invert(w: SyllableWord) -> SyllableWord:
-    return _sp(w.rank1, w.rank2, tuple([-let for let in reversed(w.letters)]))
+    return _sp(w.rank1, w.rank2, _inv(w.letters))
 
 
 def sp_commutator(x: SyllableWord, y: SyllableWord) -> SyllableWord:
@@ -316,11 +337,11 @@ def expand_basis_product(
         rank1: int, rank2: int,
         factors: Iterable[tuple[tuple[Word, Word], int]]) -> SyllableWord:
     """Multiply out a list of ((v1, v2), sign) commutator factors."""
-    parts: list[tuple[int, Word]] = []
+    parts: list[Sequence[int]] = []
     for (v1, v2), sign in factors:
         pair = [(1, v1), (2, v2)] if sign >= 0 else [(2, v2), (1, v1)]
-        parts += [(f, v.inverse()) for f, v in pair] + pair
-    return sp_reduce(rank1, rank2, parts)
+        parts += _comm(*[_letters(rank1, rank2, f, v) for f, v in pair])
+    return _product(rank1, rank2, parts)
 
 
 @dataclass(frozen=True)
@@ -433,16 +454,7 @@ def relation_check(ctx: GContext, w1: Word, w2: Word,
     identity or any supplied oracle refutes it; returns a small report
     otherwise.
     """
-    a = ctx.embed(1, ctx.u1 * w1)
-    b = ctx.embed(2, ctx.u2 * w2)
-    e1 = ctx.embed(1, w1)
-    e2 = ctx.embed(2, w2)
-    lhs = sp_commutator(a, b)
-    rhs = sp_multiply(
-        sp_commutator(a, e2),
-        sp_commutator(e2, e1),
-        sp_commutator(e1, b),
-    )
+    lhs, rhs = _relation_sides(ctx, w1, w2)
     if not eq_in_G(ctx, lhs, rhs):
         raise VerificationError(
             f"imposed relation fails at w1={word_str(w1)}, w2={word_str(w2)}")
@@ -457,6 +469,17 @@ def relation_check(ctx: GContext, w1: Word, w2: Word,
         "holds": True,
         "oracles_checked": len(oracles),
     }
+
+
+def _relation_sides(ctx: GContext, w1: Word,
+                    w2: Word) -> tuple[SyllableWord, SyllableWord]:
+    """[u1 w1, u2 w2] and [u1 w1, w2] [w2, w1] [w1, u2 w2] in F1 * F2."""
+    rank1, rank2 = ctx.rank1, ctx.rank2
+    e1, e2 = _letters(rank1, rank2, 1, w1), _letters(rank1, rank2, 2, w2)
+    a = _join(ctx.u1.letters, e1)
+    b = _join(_letters(rank1, rank2, 2, ctx.u2), e2)
+    return (_product(rank1, rank2, _comm(a, b)), _product(
+        rank1, rank2, _comm(a, e2) + _comm(e2, e1) + _comm(e1, b)))
 
 
 def conj_expansion_check(rank1: int, rank2: int, x1: Word, x2: Word,
@@ -476,25 +499,26 @@ def conj_expansion_check(rank1: int, rank2: int, x1: Word, x2: Word,
     for (c, d), _ in factors:
         if c.is_identity or d.is_identity:
             raise ValueError("commutator factors need nontrivial components")
-    a = x1 ** n
-    b = x2 ** n
-    sp_a = sp_reduce(rank1, rank2, [(1, a)])
-    sp_b = sp_reduce(rank1, rank2, [(2, b)])
-    middle = expand_basis_product(rank1, rank2, factors)
-    lhs = sp_multiply(sp_invert(sp_b), sp_invert(sp_a), middle, sp_a, sp_b)
-
-    rhs = sp_empty(rank1, rank2)
-    for (c, d), delta in factors:
-        ca = sp_reduce(rank1, rank2, [(1, c * a)])
-        db = sp_reduce(rank1, rank2, [(2, d * b)])
-        block = sp_multiply(
-            sp_commutator(sp_b, ca),
-            sp_commutator(ca, db),
-            sp_commutator(db, sp_a),
-            sp_commutator(sp_a, sp_b),
-        )
-        rhs = sp_multiply(rhs, block if delta >= 0 else sp_invert(block))
+    lhs, rhs = _conj_expansion_sides(rank1, rank2, x1, x2, factors, n)
     return lhs == rhs
+
+
+def _conj_expansion_sides(rank1: int, rank2: int, x1: Word, x2: Word, factors,
+                          n: int) -> tuple[SyllableWord, SyllableWord]:
+    """The two sides of :func:`conj_expansion_check`'s identity."""
+    a = _letters(rank1, rank2, 1, x1 ** n)
+    b = _letters(rank1, rank2, 2, x2 ** n)
+    middle = expand_basis_product(rank1, rank2, factors).letters
+    rhs: list[Sequence[int]] = []
+    for (c, d), delta in factors:
+        ca = _join(_letters(rank1, rank2, 1, c), a)
+        db = _join(_letters(rank1, rank2, 2, d), b)
+        block = [(b, ca), (ca, db), (db, a), (a, b)]
+        if delta < 0:  # the inverse: each [x, y] as [y, x], in reverse order
+            block = [(y, x) for x, y in reversed(block)]
+        rhs += [part for x, y in block for part in _comm(x, y)]
+    return (_product(rank1, rank2, [_inv(b), _inv(a), middle, a, b]),
+            _product(rank1, rank2, rhs))
 
 
 def conj_support_check(w: Word, g: Word) -> bool:
@@ -723,16 +747,21 @@ def random_syllable_word(rng: random.Random, rank1: int, rank2: int,
 def random_kernel_word(rng: random.Random, rank1: int, rank2: int,
                        max_len: int) -> SyllableWord:
     """A random product of conjugated commutators: trivial projection by
-    construction, total length capped by regeneration."""
+    construction, total length capped by regeneration: at max-len 24 about a
+    third of the drafts are drawn again.  A draft is drawn to its end even when
+    already too long, so that the next one starts at the same point of ``rng``.
+    """
     while True:
-        w = sp_empty(rank1, rank2)
+        parts: list[Sequence[int]] = []
         for _ in range(rng.randint(1, 3)):
             v1 = random_reduced_word(rng, rank1, rng.randint(1, 3))
             v2 = random_reduced_word(rng, rank2, rng.randint(1, 3))
-            comm = expand_basis_product(
-                rank1, rank2, [((v1, v2), -1 if rng.random() < 0.5 else 1)])
-            g = random_syllable_word(rng, rank1, rank2, 3)
-            w = sp_multiply(w, sp_conjugate(comm, g))
+            x, y = v1.letters, _letters(rank1, rank2, 2, v2)
+            if rng.random() < 0.5:  # [v1, v2]^-1 = [v2, v1]
+                x, y = y, x
+            g = random_syllable_word(rng, rank1, rank2, 3).letters
+            parts += [_inv(g), *_comm(x, y), g]
+        w = _product(rank1, rank2, parts)
         if len(w) <= max_len:
             return w
 

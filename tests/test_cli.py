@@ -13,15 +13,16 @@ from commtower.cli import main
 from commtower.freeprod import (
     FiniteQuotientOracle,
     GContext,
+    SyllableWord,
     _eval_word_perms,
     _perm_mul,
     eq_in_G,
     kword_expand,
-    relation_check,
     rewrite_commutator,
     sp_commutator,
+    sp_multiply,
 )
-from commtower.words import parse_word, random_reduced_word
+from commtower.words import Word, parse_word, random_reduced_word
 
 
 def run(capsys, argv):
@@ -243,15 +244,16 @@ def test_usage_errors(capsys):
 UNCAPPED = {
     # picks the random stream only
     "seed",
-    # verify kernel: linear in time, flat in memory (200: 0.17 s, 2000:
-    # 1.7 s, both at 18 MB peak RSS)
+    # verify kernel: linear in time, flat in memory (--u1 x1 --u2 x1
+    # --max-len 24 --seed 7, 200: 0.15-0.24 s, 2000: 0.7 s, both at 18 MB
+    # peak RSS, process start included)
     "samples",
     # scan commute: linear in time, flat in memory (--max-len 3, 5,000:
     # 0.29 s, 50,000: 2.8 s, both at 18 MB peak RSS)
     "budget",
     # scan commute: bounded by cli._SCAN_WORDS_CAP instead; verify kernel:
     # only an upper bound on words whose length is bounded by construction
-    # (--max-len 1000000: 0.16 s, 18 MB, the same as at 24)
+    # (--max-len 1000000: 0.15-0.21 s, 18 MB, the same as at 24)
     "max_len",
     # verify tower: echoed, since infinite order is proven by the additive
     # law (--max-level 8 at 10^9: 0.02 s, 18 MB, the same as at 100)
@@ -379,7 +381,8 @@ def _build_with_one_free_seed(bad_seed):
 
 def _per_oracle_counts(ctx, oracles, samples, max_len, seed, pair_len=6):
     """verify kernel's oracle refutations and imposed-relation failures,
-    with every oracle applied on its own (the literal reference)."""
+    with every oracle applied on its own (the literal reference).  The
+    imposed relation holds in G, so only an oracle can refute it."""
     rng = random.Random(seed)
     for _ in range(samples):                           # the round-trip draws
         freeprod.random_kernel_word(rng, ctx.rank1, ctx.rank2, max_len)
@@ -394,9 +397,12 @@ def _per_oracle_counts(ctx, oracles, samples, max_len, seed, pair_len=6):
             continue
         if any(o.distinguishes(comm, expansion) for o in oracles):
             refutations += 1
-        try:
-            relation_check(ctx, w1, w2, oracles)
-        except freeprod.VerificationError:
+        a, b = ctx.embed(1, ctx.u1 * w1), ctx.embed(2, ctx.u2 * w2)
+        e1, e2 = ctx.embed(1, w1), ctx.embed(2, w2)
+        lhs = sp_commutator(a, b)               # [u1 w1, u2 w2]
+        rhs = sp_multiply(sp_commutator(a, e2), sp_commutator(e2, e1),
+                          sp_commutator(e1, b))
+        if any(o.apply(lhs) != o.apply(rhs) for o in oracles):
             failures += 1
     return refutations, failures
 
@@ -422,6 +428,51 @@ def test_verify_kernel_counts_forced_refutations_like_each_oracle(
         assert code == 1
         assert report["oracle"]["refutations"] == refutations
         assert report["imposed_relation"]["failures"] == failures
+
+
+def _times_a(w):
+    """``w`` times the first factor-one generator: a different element."""
+    a = SyllableWord(w.rank1, w.rank2, [(1, Word(w.rank1, (1,)))])
+    return sp_multiply(w, a)
+
+
+KERNEL_SECTIONS = ("round_trip", "commutator_rewrite", "imposed_relation",
+                   "conjugation_expansion")
+
+
+@pytest.mark.parametrize("section, owner, name, spoil", [
+    ("round_trip", cli, "expand_basis_product", _times_a),
+    ("commutator_rewrite", cli, "rewrite_commutator", lambda kw: kw.inverse()),
+    ("conjugation_expansion", freeprod, "_conj_expansion_sides",
+     lambda sides: (sides[0], _times_a(sides[1]))),
+])
+@pytest.mark.parametrize("u", ["x1 x2", "x1"])
+def test_verify_kernel_counts_forced_section_failures(
+        monkeypatch, capsys, section, owner, name, spoil, u):
+    # every second call of one step of the section returns a wrong result
+    honest = getattr(owner, name)
+    calls = spoiled = 0
+
+    def step(*args):
+        nonlocal calls, spoiled
+        result = honest(*args)
+        calls += 1
+        if calls % 2:
+            return result
+        wrong = spoil(result)
+        spoiled += wrong != result
+        return wrong
+
+    monkeypatch.setattr(owner, name, step)
+    code, report = run_json(capsys, [
+        "verify", "kernel", "--u1", u, "--u2", u, "--samples", "30",
+        "--max-len", "16", "--seed", "5"])
+    assert calls >= 30 and spoiled > 0
+    assert report[section]["failures"] == spoiled
+    assert all(report[s]["failures"] == 0
+               for s in KERNEL_SECTIONS if s != section)
+    assert report["oracle"]["refutations"] == 0
+    assert report["ok"] is False and code == 1
 
 
 def test_verify_kernel_applies_one_oracle_per_word(monkeypatch, capsys):

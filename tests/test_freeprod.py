@@ -676,6 +676,139 @@ def test_conj_expansion_rejects_trivial_factor():
                              [((Word(2), fw("x1")), 1)], 1)
 
 
+def test_relation_check_rank_mismatch():
+    with pytest.raises(RankMismatchError):
+        relation_check(ctx_single(), fw("x1", 3), fw("x1"))
+    with pytest.raises(RankMismatchError):
+        relation_check(ctx_single(), fw("x1"), fw("x1", 3))
+
+
+# --- stacked constructions against the syllable-word products they replace ------
+
+
+def _literal_expand(rank1, rank2, factors):
+    parts = []
+    for (v1, v2), sign in factors:
+        pair = [(1, v1), (2, v2)] if sign >= 0 else [(2, v2), (1, v1)]
+        parts += [(f, v.inverse()) for f, v in pair] + pair
+    return sp_reduce(rank1, rank2, parts)
+
+
+def _literal_kernel_word(rng, rank1, rank2, max_len):
+    while True:
+        w = sp_empty(rank1, rank2)
+        for _ in range(rng.randint(1, 3)):
+            v1 = random_reduced_word(rng, rank1, rng.randint(1, 3))
+            v2 = random_reduced_word(rng, rank2, rng.randint(1, 3))
+            comm = _literal_expand(
+                rank1, rank2, [((v1, v2), -1 if rng.random() < 0.5 else 1)])
+            g = random_syllable_word(rng, rank1, rank2, 3)
+            w = sp_multiply(w, sp_conjugate(comm, g))
+        if len(w) <= max_len:
+            return w
+
+
+def _literal_relation_sides(ctx, w1, w2):
+    a = ctx.embed(1, ctx.u1 * w1)
+    b = ctx.embed(2, ctx.u2 * w2)
+    e1 = ctx.embed(1, w1)
+    e2 = ctx.embed(2, w2)
+    return sp_commutator(a, b), sp_multiply(
+        sp_commutator(a, e2), sp_commutator(e2, e1), sp_commutator(e1, b))
+
+
+def _literal_conj_expansion_sides(rank1, rank2, x1, x2, factors, n):
+    a = x1 ** n
+    b = x2 ** n
+    sp_a = sp_reduce(rank1, rank2, [(1, a)])
+    sp_b = sp_reduce(rank1, rank2, [(2, b)])
+    middle = _literal_expand(rank1, rank2, factors)
+    lhs = sp_multiply(sp_invert(sp_b), sp_invert(sp_a), middle, sp_a, sp_b)
+    rhs = sp_empty(rank1, rank2)
+    for (c, d), delta in factors:
+        ca = sp_reduce(rank1, rank2, [(1, c * a)])
+        db = sp_reduce(rank1, rank2, [(2, d * b)])
+        block = sp_multiply(
+            sp_commutator(sp_b, ca),
+            sp_commutator(ca, db),
+            sp_commutator(db, sp_a),
+            sp_commutator(sp_a, sp_b),
+        )
+        rhs = sp_multiply(rhs, block if delta >= 0 else sp_invert(block))
+    return lhs, rhs
+
+
+RANK_PAIRS = ((1, 1), (2, 2), (2, 3), (3, 1))
+
+
+@pytest.mark.parametrize("rank1, rank2", RANK_PAIRS)
+def test_random_kernel_word_draws_like_literal(rank1, rank2):
+    # the same words from the same random stream; at max-len 4 a draw takes
+    # about a hundred drafts, so it gets fewer draws
+    for max_len, draws in ((4, 20), (16, 160), (24, 160), (40, 160)):
+        fast = random.Random(100 * rank1 + 10 * rank2 + max_len)
+        literal = random.Random(100 * rank1 + 10 * rank2 + max_len)
+        for _ in range(draws):
+            w = random_kernel_word(fast, rank1, rank2, max_len)
+            assert w == _literal_kernel_word(literal, rank1, rank2, max_len)
+            assert fast.getstate() == literal.getstate()
+            assert len(w) <= max_len and h_map(w) == (
+                Word(rank1), Word(rank2))
+
+
+def _random_factors(rng, rank1, rank2, count, min_len):
+    return [((random_reduced_word(rng, rank1, rng.randint(min_len, 3)),
+              random_reduced_word(rng, rank2, rng.randint(min_len, 3))),
+             rng.choice((1, -1))) for _ in range(count)]
+
+
+def test_expand_basis_product_like_literal():
+    rng = random.Random(33)
+    for rank1, rank2 in RANK_PAIRS:
+        for _ in range(300):
+            factors = _random_factors(rng, rank1, rank2, rng.randint(0, 4), 0)
+            assert expand_basis_product(rank1, rank2, factors) == \
+                _literal_expand(rank1, rank2, factors)
+        assert expand_basis_product(rank1, rank2, []) == sp_empty(rank1, rank2)
+    # a factor of the wrong rank after a good one, in either order of a pair
+    good = ((fw("x1"), fw("x2")), 1)
+    for bad in (((fw("x1", 3), fw("x1")), 1), ((fw("x1"), fw("x1", 3)), -1)):
+        for expand in (expand_basis_product, _literal_expand):
+            with pytest.raises(RankMismatchError):
+                expand(2, 2, [good, bad])
+
+
+def test_relation_sides_like_literal():
+    rng = random.Random(34)
+    for ctx in (ctx_single(), ctx_double(), ctx_31(),
+                GContext(2, 3, fw("x1 X2"), fw("x2 x3", 3))):
+        pairs = [(ctx.u1.inverse(), ctx.u2.inverse()),
+                 (ctx.u1.inverse(), Word(ctx.rank2)),
+                 (Word(ctx.rank1), ctx.u2 * ctx.u2)]
+        pairs += [(random_reduced_word(rng, ctx.rank1, rng.randint(0, 6)),
+                   random_reduced_word(rng, ctx.rank2, rng.randint(0, 6)))
+                  for _ in range(200)]
+        for w1, w2 in pairs:
+            lhs, rhs = freeprod._relation_sides(ctx, w1, w2)
+            literal_lhs, literal_rhs = _literal_relation_sides(ctx, w1, w2)
+            assert lhs == literal_lhs
+            assert rhs == literal_rhs
+
+
+def test_conj_expansion_sides_like_literal():
+    rng = random.Random(35)
+    for rank1, rank2 in RANK_PAIRS:
+        for _ in range(200):
+            x1 = random_reduced_word(rng, rank1, rng.randint(0, 2))
+            x2 = random_reduced_word(rng, rank2, rng.randint(0, 2))
+            factors = _random_factors(rng, rank1, rank2, rng.randint(1, 3), 1)
+            args = (rank1, rank2, x1, x2, factors, rng.randint(0, 4))
+            lhs, rhs = freeprod._conj_expansion_sides(*args)
+            literal_lhs, literal_rhs = _literal_conj_expansion_sides(*args)
+            assert lhs == literal_lhs
+            assert rhs == literal_rhs
+
+
 def test_conj_support_check():
     assert conj_support_check(fw("x1 x2"), fw("x2"))
     assert conj_support_check(fw("x1"), fw("x2"))

@@ -6,6 +6,7 @@ and says why in CHANGES.md."""
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,12 @@ def test_scripts_run_from_a_checkout(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True)
         assert done.returncode == 0, done.stderr
+        if script == "run_all_checks.py":
+            # one summary line per battery, with its exit code and wall time
+            lines = done.stdout.splitlines()
+            assert len(lines) == len(DIGESTS) and all(re.fullmatch(
+                r"PASS  \w+  \(exit 0, \d+\.\d\d s\)  -> \S+\.json", line)
+                for line in lines), done.stdout
     assert {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in outdir.glob("*.json")} == DIGESTS
 
