@@ -17,10 +17,8 @@ from .words import (
     cyclic_subgroup_exponent,
     exponent_sum,
     generator,
-    invert,
     is_conjugate,
     is_cyclically_reduced,
-    multiply,
     parse_word,
     primitive_root,
     reduce_word,
@@ -39,7 +37,6 @@ from .intmat import (
 )
 from .tower import (
     Presentation,
-    TowerLevel,
     central_presentation,
     doubling_map,
     heisenberg_nf,

@@ -74,6 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default: text)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="also write the report to this file")
+    # the quotient context of verify kernel, scan commute and eq
+    context = argparse.ArgumentParser(add_help=False)
+    context.add_argument("--u1", required=True, help="factor-one word, x-grammar")
+    context.add_argument("--u2", required=True, help="factor-two word, x-grammar")
+    context.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
+    context.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
 
     parser = argparse.ArgumentParser(
         prog="commtower",
@@ -90,12 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     vt.add_argument("--order-powers", type=_Bounded(1), default=100)
 
-    vk = vsub.add_parser("kernel", parents=[common],
+    vk = vsub.add_parser("kernel", parents=[common, context],
                          help="kernel basis and rewriting checks")
-    vk.add_argument("--u1", required=True, help="factor-one word, x-grammar")
-    vk.add_argument("--u2", required=True, help="factor-two word, x-grammar")
-    vk.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
-    vk.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
     vk.add_argument("--samples", type=_Bounded(1), required=True)
     # random_kernel_word regenerates until its length fits, and the shortest
     # nontrivial kernel word is a 4-letter commutator
@@ -112,12 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = top.add_parser("scan", help="run an empirical scan")
     ssub = scan.add_subparsers(dest="subcommand", required=True)
-    sc = ssub.add_parser("commute", parents=[common],
+    sc = ssub.add_parser("commute", parents=[common, context],
                          help="pairs commuting with their commutator")
-    sc.add_argument("--u1", required=True)
-    sc.add_argument("--u2", required=True)
-    sc.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
-    sc.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
     sc.add_argument("--max-len", type=_Bounded(1), required=True)
     sc.add_argument("--budget", type=_Bounded(0), required=True)
     sc.add_argument("--seed", type=int, required=True)
@@ -134,12 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     lsub.add_parser("demo", parents=[common],
                     help="the Q/Z witness against perfectness")
 
-    eq = top.add_parser("eq", parents=[common],
+    eq = top.add_parser("eq", parents=[common, context],
                         help="decide equality in the quotient group")
-    eq.add_argument("--u1", required=True)
-    eq.add_argument("--u2", required=True)
-    eq.add_argument("--rank1", type=_Bounded(1, _CAPS["rank1"]), default=2)
-    eq.add_argument("--rank2", type=_Bounded(1, _CAPS["rank2"]), default=2)
     eq.add_argument("--lhs", type=_letters, required=True,
                     help="free-product word grammar")
     eq.add_argument("--rhs", type=_letters, required=True,
@@ -148,11 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context(args: argparse.Namespace) -> GContext:
-    return GContext(
+def _context(args: argparse.Namespace) -> tuple[GContext, dict]:
+    """The GContext of --u1/--u2/--rank1/--rank2, and its report config entries."""
+    ctx = GContext(
         rank1=args.rank1, rank2=args.rank2,
         u1=parse_word(args.u1, args.rank1),
         u2=parse_word(args.u2, args.rank2))
+    return ctx, {"u1": word_str(ctx.u1), "u2": word_str(ctx.u2),
+                 "rank1": ctx.rank1, "rank2": ctx.rank2}
 
 
 def _cmd_verify_tower(args: argparse.Namespace) -> dict:
@@ -188,14 +185,12 @@ def _cmd_verify_tower(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify_kernel(args: argparse.Namespace) -> dict:
-    ctx = _context(args)
-    config = {
-        "u1": word_str(ctx.u1), "u2": word_str(ctx.u2),
-        "rank1": ctx.rank1, "rank2": ctx.rank2,
+    ctx, config = _context(args)
+    config.update({
         "samples": args.samples, "max_len": args.max_len,
         "pair_len": args.pair_len, "seed": args.seed,
         "oracle_degree": args.oracle_degree, "oracle_seeds": args.oracle_seeds,
-    }
+    })
     # one homomorphism into Sym(degree)^seeds: it refutes exactly when some
     # seed's oracle does, in one pass over each word
     oracle = FiniteQuotientOracle.product([
@@ -274,16 +269,13 @@ def _cmd_scan_commute(args: argparse.Namespace) -> dict:
                              f"{_SCAN_WORDS_CAP} words at rank "
                              f"{args.rank1}+{args.rank2}")
         grade *= letters - 1
-    ctx = _context(args)
+    ctx, config = _context(args)
     report = freeprod.commutation_scan(
         ctx, max_len=args.max_len, budget=args.budget, seed=args.seed)
     return {
         "command": "scan commute",
-        "config": {
-            "u1": word_str(ctx.u1), "u2": word_str(ctx.u2),
-            "rank1": ctx.rank1, "rank2": ctx.rank2,
-            "max_len": args.max_len, "budget": args.budget, "seed": args.seed,
-        },
+        "config": {**config, "max_len": args.max_len, "budget": args.budget,
+                   "seed": args.seed},
         "report": report.to_json_dict(),
         "ok": report.ok,
     }
@@ -344,17 +336,13 @@ def _cmd_lp_demo(args: argparse.Namespace) -> dict:
 
 
 def _cmd_eq(args: argparse.Namespace) -> dict:
-    ctx = _context(args)
+    ctx, config = _context(args)
     lhs = parse_syllable_word(args.lhs, ctx.rank1, ctx.rank2)
     rhs = parse_syllable_word(args.rhs, ctx.rank1, ctx.rank2)
     equal = eq_in_G(ctx, lhs, rhs)
     return {
         "command": "eq",
-        "config": {
-            "u1": word_str(ctx.u1), "u2": word_str(ctx.u2),
-            "rank1": ctx.rank1, "rank2": ctx.rank2,
-            "lhs": syllable_str(lhs), "rhs": syllable_str(rhs),
-        },
+        "config": {**config, "lhs": syllable_str(lhs), "rhs": syllable_str(rhs)},
         "equal": equal,
         "ok": equal,
     }

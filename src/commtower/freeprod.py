@@ -195,16 +195,20 @@ def sp_reduce(rank1: int, rank2: int,
                                    for factor, w in raw])
 
 
+def _check_ranks(x: SyllableWord, y: SyllableWord) -> None:
+    if x.rank1 != y.rank1 or x.rank2 != y.rank2:
+        raise RankMismatchError(
+            f"mixed free-product ranks: {(x.rank1, x.rank2)} and "
+            f"{(y.rank1, y.rank2)}")
+
+
 def sp_multiply(*ws: SyllableWord) -> SyllableWord:
     """The product, cancelling at each junction only."""
-    rank1, rank2, out = ws[0].rank1, ws[0].rank2, ws[0].letters
+    first, out = ws[0], ws[0].letters
     for w in ws[1:]:
-        if w.rank1 != rank1 or w.rank2 != rank2:
-            raise RankMismatchError(
-                f"mixed free-product ranks: {(rank1, rank2)} and "
-                f"{(w.rank1, w.rank2)}")
+        _check_ranks(first, w)
         out = _join(out, w.letters)
-    return _sp(rank1, rank2, out)
+    return _sp(first.rank1, first.rank2, out)
 
 
 def sp_invert(w: SyllableWord) -> SyllableWord:
@@ -213,11 +217,14 @@ def sp_invert(w: SyllableWord) -> SyllableWord:
 
 def sp_commutator(x: SyllableWord, y: SyllableWord) -> SyllableWord:
     """[x, y] = x^-1 y^-1 x y."""
-    return sp_multiply(sp_invert(x), sp_invert(y), x, y)
+    _check_ranks(x, y)
+    return _product(x.rank1, x.rank2, _comm(x.letters, y.letters))
 
 
 def sp_conjugate(w: SyllableWord, g: SyllableWord) -> SyllableWord:
-    return sp_multiply(sp_invert(g), w, g)
+    """g^-1 w g."""
+    _check_ranks(g, w)
+    return _product(g.rank1, g.rank2, [_inv(g.letters), w.letters, g.letters])
 
 
 def h_map(w: SyllableWord) -> tuple[Word, Word]:
@@ -246,8 +253,10 @@ class GContext:
     rank2: int
     u1: Word
     u2: Word
-    _reps1: dict = field(default_factory=dict, compare=False, repr=False)
-    _reps2: dict = field(default_factory=dict, compare=False, repr=False)
+    # fresh per instance, so dataclasses.replace never carries the old
+    # context's coset representatives over
+    _reps1: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _reps2: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _cores: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -55,18 +55,6 @@ class IntMatrix:
             self.rows[i][j] == (1 if i == j else 0)
             for i in range(self.dim) for j in range(i + 1))
 
-    def to_json_dict(self) -> dict:
-        """JSON form {dim, rows} with decimal-string entries (keeps precision)."""
-        return {
-            "dim": self.dim,
-            "rows": [[str(e) for e in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IntMatrix":
-        rows = tuple(tuple(int(e) for e in row) for row in data["rows"])
-        return cls(int(data["dim"]), rows)
-
 
 def identity(dim: int) -> IntMatrix:
     return IntMatrix(

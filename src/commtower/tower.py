@@ -40,7 +40,6 @@ from .words import (
     commutator,
     generator,
     shift_index,
-    word_str,
 )
 
 
@@ -130,26 +129,9 @@ def seed_word(n: int) -> Word:
 
 
 @dataclass(frozen=True)
-class TowerLevel:
-    n: int
-    rank: int
-    seed: Word
-
-    @classmethod
-    def build(cls, n: int) -> "TowerLevel":
-        return cls(n=n, rank=level_rank(n), seed=seed_word(n))
-
-
-@dataclass(frozen=True)
 class Presentation:
     rank: int
     relators: tuple[Word, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "relators": [word_str(r) for r in self.relators],
-        }
 
 
 def central_presentation(n: int) -> Presentation:
@@ -204,13 +186,17 @@ class RepresentationReport:
     relations_ok: bool
     seed_entries: tuple[tuple[tuple[int, int], int], ...]
     sign: int | None
-    order_witness_ok: bool
     order_checked_to: int
     failures: tuple[str, ...] = ()
 
     @property
+    def order_witness_ok(self) -> bool:
+        """S is ``e(+-1; 1, 2^n+1)``, whose k-th power is ``e(+-k; 1, 2^n+1)``."""
+        return self.sign is not None
+
+    @property
     def ok(self) -> bool:
-        return self.relations_ok and self.sign is not None and self.order_witness_ok
+        return self.relations_ok and self.order_witness_ok
 
     @property
     def seed_image(self) -> IntMatrix:
@@ -278,7 +264,6 @@ def verify_representation(n: int, order_powers: int = 100) -> RepresentationRepo
         relations_ok=relations_ok,
         seed_entries=tuple(sorted(seed.items())),
         sign=sign,
-        order_witness_ok=sign is not None,
         order_checked_to=order_powers if sign is not None else 0,
         failures=tuple(failures),
     )

@@ -135,14 +135,6 @@ def reduce_word(letters: Iterable[int], rank: int) -> Word:
     return Word(rank, tuple(out))
 
 
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
-
-
 def commutator(a: Word, b: Word) -> Word:
     """[a, b] = a^-1 b^-1 a b."""
     if a.rank != b.rank:

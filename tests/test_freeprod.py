@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -164,6 +165,35 @@ def test_sp_group_laws():
 def test_sp_rank_mismatch():
     with pytest.raises(RankMismatchError):
         sp_multiply(sp_empty(2, 2), sp_empty(2, 3))
+
+
+@st.composite
+def _ranked_syllable_words(draw, count):
+    """``count`` syllable words of at most 12 letters over one pair of ranks
+    in 1..3."""
+    rank1, rank2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    letters = [(f, Word(rank, (s * i,))) for f, rank in ((1, rank1), (2, rank2))
+               for i in range(1, rank + 1) for s in (1, -1)]
+    return [sp_reduce(rank1, rank2, draw(st.lists(st.sampled_from(letters),
+                                                  max_size=12)))
+            for _ in range(count)]
+
+
+@given(_ranked_syllable_words(3))
+def test_commutator_and_conjugate_match_chained_products(words):
+    # the literal constructions: two inverted words, then junction joins
+    x, y, g = words
+    assert sp_commutator(x, y) == sp_multiply(sp_invert(x), sp_invert(y), x, y)
+    assert sp_conjugate(x, g) == sp_multiply(sp_invert(g), x, g)
+
+
+def test_commutator_and_conjugate_reject_mixed_ranks():
+    x, y = sw("a"), sw("a", 3, 2)
+    for build, message in ((sp_commutator, "(2, 2) and (3, 2)"),
+                           (sp_conjugate, "(3, 2) and (2, 2)")):
+        with pytest.raises(RankMismatchError) as exc:
+            build(x, y)
+        assert str(exc.value) == f"mixed free-product ranks: {message}"
 
 
 def test_syllable_words_are_immutable_values():
@@ -1218,3 +1248,14 @@ def test_context_rejects_proper_powers():
 def test_context_json():
     assert ctx_double().to_json_dict() == {
         "rank1": 2, "rank2": 2, "u1": "x1 x2", "u2": "x1 x2"}
+
+
+def test_replaced_context_starts_with_empty_coset_caches():
+    x1, x2 = fw("x1"), fw("x2")
+    ctx = GContext(2, 2, x1, x1)
+    assert eq_in_G(ctx, sw("a c A"), sw("c"))       # caches A -> e for <a>
+    moved = dataclasses.replace(ctx, u1=x2)
+    assert not eq_in_G(moved, sw("a c A"), sw("c"))
+    assert not eq_in_G(GContext(2, 2, x2, x1), sw("a c A"), sw("c"))
+    with pytest.raises(TypeError):
+        GContext(2, 2, x1, x1, {})

@@ -1,7 +1,8 @@
 """The eight ``scripts/run_all_checks.py`` batteries must keep writing the
 same JSON bytes: a change that only speeds the library up leaves every
 report byte-identical.  A deliberate report change updates the digests here
-and says why in CHANGES.md."""
+and says why in CHANGES.md.  The package's exported names are pinned the
+same way."""
 
 import hashlib
 import importlib.util
@@ -9,8 +10,10 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import commtower
 from commtower.cli import main
 
 SEED = 20240801
@@ -153,3 +156,33 @@ def test_scan_reports_are_byte_identical(tmp_path, capsys):
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the public names of ``commtower``, grouped by the module that defines them
+EXPORTS = {
+    "AlphabetError", "RankMismatchError", "Word", "commutator", "conjugate",
+    "coset_rep", "cyclic_reduce", "cyclic_subgroup_exponent", "exponent_sum",
+    "generator", "is_conjugate", "is_cyclically_reduced", "parse_word",
+    "primitive_root", "reduce_word", "reduced_words", "shift_index", "support",
+    "word_str",
+    "IntMatrix", "elementary", "evaluate_word", "identity", "matmul",
+    "unitriangular_inverse",
+    "Presentation", "central_presentation", "doubling_map", "heisenberg_nf",
+    "one_relator_presentation", "perfectness_witness", "seed_word",
+    "split_context", "superdiagonal_assignment", "verify_representation",
+    "LPElement", "lp_commutator", "lp_element", "lp_include", "lp_invert",
+    "lp_multiply", "lp_normalize", "lp_qz_image",
+    "FiniteQuotientOracle", "GContext", "KBasisSymbol", "KWord", "SyllableWord",
+    "cartesian_basis_express", "commutation_scan", "conj_expansion_check",
+    "conj_support_check", "eq_in_G", "expand_basis_product", "h_map", "k_image",
+    "kword_expand", "parse_syllable_word", "relation_check",
+    "rewrite_commutator", "sp_commutator", "sp_invert", "sp_multiply",
+    "sp_reduce", "syllable_str",
+}
+
+
+def test_exported_names_are_pinned():
+    # submodules become attributes once imported, so they are left out
+    assert {name for name, value in vars(commtower).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)} == EXPORTS

@@ -261,12 +261,3 @@ def test_non_elementary_assignment_falls_back():
     assignment = {1: dense, 2: elementary(1, 2, 3, 3)}
     word = parse_word("x1 x2 X1", 2)
     assert evaluate_word(assignment, word) == _evaluate_naive(assignment, word)
-
-
-# --- serialization ------------------------------------------------------------------
-
-def test_json_round_trip_preserves_precision():
-    m = elementary(2 ** 200 + 1, 1, 4, 4)
-    data = m.to_json_dict()
-    assert data["rows"][0][3] == str(2 ** 200 + 1)
-    assert IntMatrix.from_json_dict(data) == m
