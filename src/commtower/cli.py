@@ -412,15 +412,19 @@ _CAPS = {
 
 # Most letters in each of `eq --lhs` and `--rhs`.  The kernel image of a
 # product grows about as the square of its length: --lhs "a c a c ..." with
-# --rhs "c a c a ..." at 4096 letters each takes 0.8 s at 84 MB peak RSS
-# (2048: 0.25 s, 34 MB; 8192: 3.0 s, 280 MB) on a 2-core Xeon VM.
+# --rhs "c a c a ..." at 4096 letters each takes, on a 2-core Xeon VM,
+# 0.6-0.8 s at 84 MB peak RSS with --u1 "x1 x2" --u2 "x1 x2" (exit 1,
+# unequal; 2048: 0.16 s, 34 MB; 8192, in process: 2.4 s, 280 MB) and
+# 0.8 s at 58 MB with --u1 x1 --u2 x1 (equal; 8192, in process: 3.2 s,
+# 179 MB).
 _EQ_LETTERS_CAP = 4096
 
 # Most words the exhaustive phase of `scan commute` may list: the 22,409 of
 # --max-len 5 at rank 2+2, with the scan's index dict and inverse list, peak
 # at 5.4 MB (tracemalloc, CPython 3.11), about 0.24 KB each and x7 per step
 # there; the cap still admits --max-len 6 (156,865 words, 33 MB traced; the
-# whole scan at --budget 0 takes 7.5 s at 54 MB peak RSS).
+# whole scan at --budget 0 takes 3.5-3.8 s at 54 MB peak RSS with
+# --u1 "x1 x2" --u2 "x1 x2", and 4.1-4.2 s at 54 MB with --u1 x1 --u2 x1).
 _SCAN_WORDS_CAP = 200_000
 
 

@@ -11,7 +11,7 @@ Equality in G is decided through the kernel K of the projection
 ``G -> F1 (+) F2``:
 
 * a syllable word with trivial projection is collected, in one
-  left-to-right pass over its syllables, into a product of honest
+  left-to-right pass over its letters, into a product of honest
   commutators ``[v1, v2]`` (the free basis of the kernel before the relator
   is imposed);
 * each such commutator is rewritten into the surviving free basis of K via
@@ -227,16 +227,24 @@ def sp_conjugate(w: SyllableWord, g: SyllableWord) -> SyllableWord:
     return _product(g.rank1, g.rank2, [_inv(g.letters), w.letters, g.letters])
 
 
-def h_map(w: SyllableWord) -> tuple[Word, Word]:
-    """Project onto F1 (+) F2: each factor's letters in order, freely reduced."""
-    rank1 = w.rank1
+def _projections(letters: Sequence[int],
+                 rank1: int) -> tuple[list[int], list[int]]:
+    """Each factor's letters of ``letters`` in order, freely reduced on its
+    own stack; factor two's keep their letters in F1 * F2."""
     p1, p2 = [], []
-    for let in w.letters:
+    for let in letters:
         stack = p1 if -rank1 <= let <= rank1 else p2
         if stack and stack[-1] == -let:
             stack.pop()
         else:
             stack.append(let)
+    return p1, p2
+
+
+def h_map(w: SyllableWord) -> tuple[Word, Word]:
+    """Project onto F1 (+) F2: each factor's letters in order, freely reduced."""
+    rank1 = w.rank1
+    p1, p2 = _projections(w.letters, rank1)
     return _trusted_word(rank1, tuple(p1)), _trusted_word(w.rank2, tuple(
         [let - rank1 if let > 0 else let + rank1 for let in p2]))
 
@@ -321,23 +329,38 @@ def cartesian_basis_express(
     factors multiply out to ``w`` exactly (in F1 * F2).
     """
     return tuple([((_trusted_word(w.rank1, v1), _trusted_word(w.rank2, v2)), s)
-                  for (v1, v2), s in _express(w)])
+                  for (v1, v2), s in _express(w.letters, w.rank1)])
 
 
-def _express(w: SyllableWord) -> Iterator[tuple]:
-    """The factors of :func:`cartesian_basis_express` as letter tuples."""
+def _express(letters: Sequence[int], rank1: int) -> Iterator[tuple]:
+    """The factors of :func:`cartesian_basis_express` as letter tuples, in
+    one pass over the letters.  The first letter of a factor-one syllable
+    read while Q is nontrivial fixes ``q_inv`` and emits the +1 factor; the
+    next factor-two letter, or the end of the word, emits the -1 factor."""
     neg_p, neg_q = [], []  # P and Q negated: P^-1 is neg_p read backwards
-    for factor, run in _runs(w):
-        run = [-let for let in run]
-        if factor == 2 or not neg_q:
-            _push(neg_q if factor == 2 else neg_p, run)
+    q_inv = None  # Q^-1 while inside a syllable s that moves past Q
+    for let in letters:
+        if -rank1 <= let <= rank1:
+            if q_inv is None and neg_q:
+                q_inv = tuple(neg_q[::-1])
+                if neg_p:
+                    yield (tuple(neg_p[::-1]), q_inv), 1
+            if neg_p and neg_p[-1] == let:
+                neg_p.pop()
+            else:
+                neg_p.append(-let)
             continue
-        q_inv = tuple(neg_q[::-1])
-        if neg_p:
-            yield (tuple(neg_p[::-1]), q_inv), 1
-        _push(neg_p, run)
-        if neg_p:
-            yield (tuple(neg_p[::-1]), q_inv), -1
+        if q_inv is not None:
+            if neg_p:
+                yield (tuple(neg_p[::-1]), q_inv), -1
+            q_inv = None
+        let = let - rank1 if let > 0 else let + rank1
+        if neg_q and neg_q[-1] == let:
+            neg_q.pop()
+        else:
+            neg_q.append(-let)
+    if q_inv is not None and neg_p:
+        yield (tuple(neg_p[::-1]), q_inv), -1
     if neg_p or neg_q:
         raise ValueError("word is not in the kernel of the direct-sum projection")
 
@@ -420,7 +443,7 @@ def k_image(ctx: GContext, w: SyllableWord) -> KWord:
     """
     reps1, reps2 = ctx._reps1, ctx._reps2
     stack: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-    for (w1, w2), sign in _express(w):
+    for (w1, w2), sign in _express(w.letters, w.rank1):
         s1 = reps1.get(w1)
         if s1 is None:
             s1 = reps1[w1] = _coset_rep(ctx._cores[0], w1)
@@ -438,13 +461,15 @@ def k_image(ctx: GContext, w: SyllableWord) -> KWord:
 
 
 def eq_in_G(ctx: GContext, x: SyllableWord, y: SyllableWord) -> bool:
-    """Equality in G: equal direct-sum projections and trivial kernel part."""
+    """Equality in G: x y^-1 has trivial direct-sum projection (h is a
+    homomorphism, so that is h(x) = h(y)) and trivial kernel part."""
     if (x.rank1, x.rank2) != (ctx.rank1, ctx.rank2) or \
        (y.rank1, y.rank2) != (ctx.rank1, ctx.rank2):
         raise RankMismatchError("syllable words do not match the context ranks")
-    if h_map(x) != h_map(y):
+    w = _join(x.letters, _inv(y.letters))
+    if any(_projections(w, ctx.rank1)):
         return False
-    return k_image(ctx, sp_multiply(x, sp_invert(y))).is_identity
+    return k_image(ctx, _sp(ctx.rank1, ctx.rank2, w)).is_identity
 
 
 def is_trivial_in_G(ctx: GContext, w: SyllableWord) -> bool:

@@ -568,24 +568,26 @@ def test_k_image_reduces_by_key_like_symbol_equality():
                 assert k_image(ctx, x) == _k_image_literal(ctx, x)
 
 
-def _eq_long_shaped(rng, ctx, length):
-    # x y^-1 for y = x t, t a product of conjugated relators of about
-    # length / 2 letters, and sometimes one conjugated commutator [v1, v2]
+def _eq_long_shaped(rng, ctx, length, commutator=None):
+    # (x, y) for y = x t, t a product of conjugated relators of about
+    # length / 2 letters, with one conjugated commutator [v1, v2] inserted
+    # if ``commutator`` (None: on a coin flip), as perfbench's eq_pair draws
     x = random_syllable_word(rng, ctx.rank1, ctx.rank2, length // 2)
     factors = []
     while sum(len(f) for f in factors) < length // 2:
         g = random_syllable_word(rng, ctx.rank1, ctx.rank2, 8)
         core = ctx.relator() if rng.random() < 0.5 else sp_invert(ctx.relator())
         factors.append(sp_conjugate(core, g))
-    if rng.random() < 0.5:
+    if commutator is None:
+        commutator = rng.random() < 0.5
+    if commutator:
         v1 = random_reduced_word(rng, ctx.rank1, rng.randint(1, 3))
         v2 = random_reduced_word(rng, ctx.rank2, rng.randint(1, 3))
         factors.append(sp_conjugate(
             sp_commutator(ctx.embed(1, v1), ctx.embed(2, v2)),
             random_syllable_word(rng, ctx.rank1, ctx.rank2, 8)))
     rng.shuffle(factors)
-    y = sp_multiply(x, *factors)
-    return sp_multiply(x, sp_invert(y))
+    return x, sp_multiply(x, *factors)
 
 
 def test_k_image_matches_literal_pipeline():
@@ -599,7 +601,8 @@ def test_k_image_matches_literal_pipeline():
     for seed, ctx in enumerate((ctx_double(), ctx_single(), split_context(2))):
         rng = random.Random(950 + seed)
         for _ in range(12):
-            w = _eq_long_shaped(rng, ctx, 256)
+            x, y = _eq_long_shaped(rng, ctx, 256)
+            w = sp_multiply(x, sp_invert(y))
             assert k_image(ctx, w) == _k_image_literal(ctx, w)
 
 
@@ -653,6 +656,111 @@ def test_eq_is_congruence():
 def test_eq_rank_mismatch():
     with pytest.raises(RankMismatchError):
         eq_in_G(ctx_single(), sp_empty(2, 3), sp_empty(2, 3))
+
+
+def _eq_literal(ctx, x, y):
+    """The decision on syllable words: projections compared, then the
+    literal kernel image of x y^-1."""
+    if h_map(x) != h_map(y):
+        return False
+    return _k_image_literal(ctx, sp_multiply(x, sp_invert(y))).is_identity
+
+
+@pytest.mark.parametrize("make_ctx", [ctx_single, ctx_double])
+def test_eq_matches_literal_decision_exhaustively(make_ctx):
+    # every pair with |x| + |y| <= 4, so x y^-1 reaches the commutators
+    ctx = make_ctx()
+    words = list(enumerate_syllable_words(2, 2, 4))
+    verdicts = {True: 0, False: 0}
+    for x in words:
+        for y in words:
+            if len(x) + len(y) > 4:
+                break
+            got = eq_in_G(ctx, x, y)
+            assert got == _eq_literal(ctx, x, y), (x, y)
+            verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _conjugated_context(rng, rank1, rank2):
+    """A context whose u1 is a conjugate g^-1 c g of a cyclically reduced
+    c that is no proper power."""
+    while True:
+        c, _ = cyclic_reduce(random_reduced_word(rng, rank1, rng.randint(1, 4)))
+        g = random_reduced_word(rng, rank1, rng.randint(1, 3))
+        u2 = random_reduced_word(rng, rank2, rng.randint(1, 3))
+        try:
+            return GContext(rank1, rank2, g.inverse() * c * g, u2)
+        except ValueError:  # an empty or proper-power u
+            continue
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_eq_matches_literal_decision_on_mixed_pairs(seed):
+    rng = random.Random(seed)
+    rank1, rank2 = rng.sample(range(1, 4), 2)
+    ctx = _conjugated_context(rng, rank1, rank2)
+    length = rng.randint(2, 40)
+    x, y = _eq_long_shaped(rng, ctx, length, commutator=False)
+    assert eq_in_G(ctx, x, y) and _eq_literal(ctx, x, y)
+    # equal projections, unequal in G unless [v1, v2] dies
+    x, y = _eq_long_shaped(rng, ctx, length, commutator=True)
+    assert eq_in_G(ctx, x, y) == _eq_literal(ctx, x, y)
+    # unequal projections
+    factor = rng.choice((1, 2))
+    letter = Word((rank1, rank2)[factor - 1], (rng.choice((1, -1)),))
+    z = sp_multiply(y, ctx.embed(factor, letter))
+    assert not eq_in_G(ctx, x, z) and not _eq_literal(ctx, x, z)
+
+
+def test_eq_decision_reads_no_syllables(monkeypatch):
+    makers = (ctx_single, ctx_double, ctx_31, lambda: split_context(2))
+    rng = random.Random(71)
+    cases = []
+    for make_ctx in makers:
+        ctx = make_ctx()
+        for commutator in (False, True, True):
+            x, y = _eq_long_shaped(rng, ctx, 64, commutator)
+            w = sp_multiply(x, sp_invert(y))
+            cases.append((make_ctx, x, y, _eq_literal(ctx, x, y),
+                          _k_image_literal(ctx, w)))
+        z = sp_multiply(y, ctx.embed(2, ctx.u2))
+        cases.append((make_ctx, x, z, False, None))
+
+    def refuse(*args):
+        raise AssertionError("the decision read a syllable view")
+
+    monkeypatch.setattr(freeprod, "_runs", refuse)
+    monkeypatch.setattr(freeprod, "h_map", refuse)
+    verdicts = set()
+    for make_ctx, x, y, verdict, image in cases:
+        ctx = make_ctx()  # cold coset caches
+        assert eq_in_G(ctx, x, y) is verdict
+        if image is not None:
+            assert k_image(ctx, sp_multiply(x, sp_invert(y))) == image
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("make_ctx", [
+    ctx_double, ctx_single, lambda: split_context(2), lambda: split_context(3)],
+    ids=["x1x2", "x1", "split2", "split3"])
+def test_eq_rejects_pairs_a_finite_quotient_separates(make_ctx):
+    # every oracle is a homomorphism of G, so a pair it separates is unequal
+    # in G; this needs no freeness of K
+    ctx = make_ctx()
+    oracle = FiniteQuotientOracle.product(
+        [FiniteQuotientOracle.build(ctx, 8, seed) for seed in range(20)])
+    rng = random.Random(ctx.rank1 + len(ctx.u1))
+    drawn = kept = 0
+    for length in (32, 128, 256):
+        for _ in range(16):
+            x, y = _eq_long_shaped(rng, ctx, length, commutator=True)
+            drawn += 1
+            if oracle.distinguishes(x, y):
+                kept += 1
+                assert not eq_in_G(ctx, x, y), (syllable_str(x), syllable_str(y))
+    assert 2 * kept >= drawn
 
 
 # --- the imposed relation and the conjugation expansion ---------------------------------
