@@ -336,7 +336,7 @@ def _express(letters: Sequence[int], rank1: int) -> Iterator[tuple]:
     """The factors of :func:`cartesian_basis_express` as letter tuples, in
     one pass over the letters.  The first letter of a factor-one syllable
     read while Q is nontrivial fixes ``q_inv`` and emits the +1 factor; the
-    next factor-two letter, or the end of the word, emits the -1 factor."""
+    next factor-two letter emits the -1 factor."""
     neg_p, neg_q = [], []  # P and Q negated: P^-1 is neg_p read backwards
     q_inv = None  # Q^-1 while inside a syllable s that moves past Q
     for let in letters:
@@ -359,8 +359,8 @@ def _express(letters: Sequence[int], rank1: int) -> Iterator[tuple]:
             neg_q.pop()
         else:
             neg_q.append(-let)
-    if q_inv is not None and neg_p:
-        yield (tuple(neg_p[::-1]), q_inv), -1
+    # a word that ends inside a syllable moving past Q ends with Q
+    # nontrivial, so it raises here and needs no last -1 factor
     if neg_p or neg_q:
         raise ValueError("word is not in the kernel of the direct-sum projection")
 
