@@ -419,12 +419,12 @@ _CAPS = {
 # 179 MB).
 _EQ_LETTERS_CAP = 4096
 
-# Most words the exhaustive phase of `scan commute` may list: the 22,409 of
-# --max-len 5 at rank 2+2, with the scan's index dict and inverse list, peak
-# at 5.4 MB (tracemalloc, CPython 3.11), about 0.24 KB each and x7 per step
-# there; the cap still admits --max-len 6 (156,865 words, 33 MB traced; the
-# whole scan at --budget 0 takes 3.5-3.8 s at 54 MB peak RSS with
-# --u1 "x1 x2" --u2 "x1 x2", and 4.1-4.2 s at 54 MB with --u1 x1 --u2 x1).
+# Most syllable words up to --max-len that `scan commute` admits: --max-len 6
+# at rank 2+2 (156,865 words) but not 7.  The exhaustive phase stores only
+# the words shorter than --max-len that precede their inverses (11,204 there,
+# 1.6 MB peak traced by tracemalloc, CPython 3.11); on a 2-core Xeon VM the
+# whole scan at --budget 0 takes 1.8-2.5 s at 18-20 MB peak RSS with
+# --u1 "x1 x2" --u2 "x1 x2", and 1.7-1.8 s at 18 MB with --u1 x1 --u2 x1.
 _SCAN_WORDS_CAP = 200_000
 
 

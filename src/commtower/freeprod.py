@@ -46,6 +46,7 @@ from .words import (
     primitive_root,
     random_reduced_word,
     reduced_words,
+    shortlex_key,
     support,
     word_str,
 )
@@ -841,13 +842,19 @@ def commutation_scan(ctx: GContext, max_len: int, budget: int,
     is a union of orbits, and the outcome is the same on the whole orbit:
     swapping turns c into c^-1, and [x^-1, y] = x c^-1 x^-1 is a conjugate
     of c^-1, which x commutes with iff it commutes with c, and which then
-    equals c^-1.  A counterexample orbit is listed member by member, in the
-    order of the full double loop over the enumerated words.  The pair set
-    relies on :func:`enumerate_syllable_words` being graded by length: once
-    |x| + |y| exceeds max_len, no later y fits with this x.
+    equals c^-1.  In shortlex order, nonempty (x, y) is least in its orbit
+    iff x <= y and both are "firsts", before their inverses; the orbit has
+    4 members if y = x, else 8.  The 2N - 1 pairs with x = e or y = e (N
+    words of length <= max_len) have c = 1 and are counted by formula, so
+    only the firsts shorter than max_len are stored.  A counterexample orbit
+    is listed member by member in shortlex order of (x, y), the order of the
+    full double loop over the enumerated words.
     """
-    pairs_tested = 0
-    commuting = 0
+    if max_len < 0 or budget < 0:
+        raise ValueError(f"max_len {max_len} and budget {budget} must be >= 0")
+    r = 2 * (ctx.rank1 + ctx.rank2)  # letters
+    n_words = 1 + sum(r * (r - 1) ** k for k in range(max_len))  # N
+    pairs_tested = commuting = 2 * n_words - 1
 
     def consider(x: SyllableWord, y: SyllableWord, weight: int = 1) -> bool:
         """Count the pair ``weight`` times; True if it is a counterexample."""
@@ -864,29 +871,22 @@ def commutation_scan(ctx: GContext, max_len: int, budget: int,
         commuting += weight
         return not is_trivial_in_G(ctx, c)
 
-    words = list(enumerate_syllable_words(ctx.rank1, ctx.rank2, max_len))
-    index = {w: i for i, w in enumerate(words)}
-    inv = [index[sp_invert(w)] for w in words]
-    found: list[tuple[int, int]] = []
-    for i, x in enumerate(words):
-        # (inv[i], j), (j, i) and (inv[j], i) share the orbit of (i, j), so
-        # (i, j) is its least member only if i <= inv[i], j, inv[j]
-        if inv[i] < i:
-            continue
+    firsts = [w for w in enumerate_syllable_words(
+                  ctx.rank1, ctx.rank2, max_len - 1)
+              if shortlex_key(w.letters) < shortlex_key(_inv(w.letters))]
+    found: set[tuple[SyllableWord, SyllableWord]] = set()
+    for i, x in enumerate(firsts):
         if 2 * len(x) > max_len:
             break
-        for j in range(i, len(words)):
-            y = words[j]
+        for y in itertools.islice(firsts, i, None):
             if len(x) + len(y) > max_len:
                 break
-            if inv[j] < i:
-                continue
-            orbit = {(i, j), (inv[i], j), (i, inv[j]), (inv[i], inv[j])}
-            orbit.update([(b, a) for a, b in orbit])
-            if min(orbit) == (i, j) and consider(x, y, len(orbit)):
-                found.extend(orbit)
-    counterexamples = [{"x": syllable_str(words[i]), "y": syllable_str(words[j])}
-                       for i, j in sorted(found)]
+            if consider(x, y, 4 if y is x else 8):
+                xs, ys = (x, sp_invert(x)), (y, sp_invert(y))
+                found.update(itertools.product(xs, ys), itertools.product(ys, xs))
+    counterexamples = [{"x": syllable_str(x), "y": syllable_str(y)}
+                       for x, y in sorted(found, key=lambda p: [
+                           shortlex_key(w.letters) for w in p])]
 
     rng = random.Random(seed)
     for _ in range(budget):

@@ -1274,10 +1274,20 @@ def _scan_literal(ctx, max_len, budget, seed):
                       tuple(counterexamples))
 
 
+def ctx_12():
+    return GContext(1, 2, fw("x1", 1), fw("x1 x2"))
+
+
+def ctx_31_long():
+    return GContext(3, 1, fw("x1 x2 X3", 3), fw("x1", 1))
+
+
 @pytest.mark.parametrize("make_ctx, max_len", [
-    (ctx_double, 4), (ctx_single, 3), (lambda: split_context(2), 3)])
+    (ctx_double, 4), (ctx_single, 3), (lambda: split_context(2), 3),
+    (ctx_31_long, 3), (ctx_12, 4)])
 def test_orbit_scan_matches_literal_scan(make_ctx, max_len):
-    for n in range(1, max_len + 1):
+    # unequal ranks pin the letter count in the (e, y), (y, e) pair count
+    for n in range(max_len + 1):
         ctx = make_ctx()
         assert commutation_scan(ctx, n, 25, n) == _scan_literal(ctx, n, 25, n)
 
@@ -1297,11 +1307,18 @@ def test_orbit_scan_lists_counterexamples_like_literal_scan(monkeypatch):
         return cyclic_length(c) not in (4, 8) and raw_is_trivial(ctx, c)
 
     monkeypatch.setattr(freeprod, "is_trivial_in_G", forced)
-    for ctx in (ctx_single(), GContext(1, 1, fw("x1", 1), fw("x1", 1))):
+    for ctx in (ctx_single(), GContext(1, 1, fw("x1", 1), fw("x1", 1)),
+                ctx_12()):
         orbit = commutation_scan(ctx, 4, 60, 3)
         literal = _scan_literal(ctx, 4, 60, 3)
         assert orbit == literal
         assert 0 < len(orbit.counterexamples) < orbit.commuting_pairs_found
+
+
+@pytest.mark.parametrize("max_len, budget", [(-1, 0), (0, -1)])
+def test_scan_refuses_negative_bounds(max_len, budget):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        commutation_scan(ctx_double(), max_len, budget, 1)
 
 
 def test_split_context_scans_clean():
