@@ -1,8 +1,8 @@
 """The eight ``scripts/run_all_checks.py`` batteries must keep writing the
 same JSON bytes: a change that only speeds the library up leaves every
 report byte-identical.  A deliberate report change updates the digests here
-and says why in CHANGES.md.  The package's exported names are pinned the
-same way."""
+and says why in CHANGES.md.  The package root is pinned the same way: it
+exports nothing, and importing one module loads no other."""
 
 import hashlib
 import importlib.util
@@ -77,18 +77,15 @@ def test_scripts_run_from_a_checkout(tmp_path):
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     outdir = tmp_path / "reports"
-    for script, *argv in (["run_all_checks.py", "--outdir", str(outdir)],
-                          ["sign_table.py", "--max-level", "3"]):
-        done = subprocess.run([sys.executable, str(scripts / script), *argv],
-                              cwd=tmp_path, env=env, capture_output=True,
-                              text=True)
-        assert done.returncode == 0, done.stderr
-        if script == "run_all_checks.py":
-            # one summary line per battery, with its exit code and wall time
-            lines = done.stdout.splitlines()
-            assert len(lines) == len(DIGESTS) and all(re.fullmatch(
-                r"PASS  \w+  \(exit 0, \d+\.\d\d s\)  -> \S+\.json", line)
-                for line in lines), done.stdout
+    done = subprocess.run([sys.executable, str(scripts / "run_all_checks.py"),
+                           "--outdir", str(outdir)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # one summary line per battery, with its exit code and wall time
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(DIGESTS) and all(re.fullmatch(
+        r"PASS  \w+  \(exit 0, \d+\.\d\d s\)  -> \S+\.json", line)
+        for line in lines), done.stdout
     assert {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in outdir.glob("*.json")} == DIGESTS
 
@@ -158,27 +155,8 @@ def test_scan_reports_are_byte_identical(tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# the public names of ``commtower``, grouped by the module that defines them
-EXPORTS = {
-    "AlphabetError", "RankMismatchError", "Word", "commutator", "conjugate",
-    "coset_rep", "cyclic_reduce", "cyclic_subgroup_exponent", "exponent_sum",
-    "generator", "is_conjugate", "is_cyclically_reduced", "parse_word",
-    "primitive_root", "reduce_word", "reduced_words", "shift_index", "support",
-    "word_str",
-    "IntMatrix", "elementary", "evaluate_word", "identity", "matmul",
-    "unitriangular_inverse",
-    "Presentation", "central_presentation", "doubling_map", "heisenberg_nf",
-    "one_relator_presentation", "perfectness_witness", "seed_word",
-    "split_context", "superdiagonal_assignment", "verify_representation",
-    "LPElement", "lp_commutator", "lp_element", "lp_include", "lp_invert",
-    "lp_multiply", "lp_normalize", "lp_qz_image",
-    "FiniteQuotientOracle", "GContext", "KBasisSymbol", "KWord", "SyllableWord",
-    "cartesian_basis_express", "commutation_scan", "conj_expansion_check",
-    "conj_support_check", "eq_in_G", "expand_basis_product", "h_map", "k_image",
-    "kword_expand", "parse_syllable_word", "relation_check",
-    "rewrite_commutator", "sp_commutator", "sp_invert", "sp_multiply",
-    "sp_reduce", "syllable_str",
-}
+# the public names of ``commtower``: none, each name has one home module
+EXPORTS = set()
 
 
 def test_exported_names_are_pinned():
@@ -186,3 +164,14 @@ def test_exported_names_are_pinned():
     assert {name for name, value in vars(commtower).items()
             if not name.startswith("_")
             and not isinstance(value, types.ModuleType)} == EXPORTS
+
+
+def test_importing_one_module_loads_no_other(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, commtower.words; print(*sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'commtower'))"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["commtower", "commtower.words"]
